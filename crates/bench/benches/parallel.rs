@@ -18,19 +18,12 @@ use ccq_nn::train::{evaluate, Batch};
 use ccq_nn::Network;
 use ccq_quant::{BitLadder, PolicyKind};
 use ccq_tensor::ops::matmul;
+use ccq_tensor::par::with_threads;
 use ccq_tensor::{rng, Init, Tensor};
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 
 const THREADS: [usize; 4] = [1, 2, 4, 8];
-
-fn with_threads<T>(n: usize, f: impl FnOnce() -> T) -> T {
-    rayon::ThreadPoolBuilder::new()
-        .num_threads(n)
-        .build()
-        .expect("pool")
-        .install(f)
-}
 
 /// The seed's reference kernel: a plain `i, p, j` triple loop.
 fn naive_matmul(a: &Tensor, b: &Tensor) -> Tensor {

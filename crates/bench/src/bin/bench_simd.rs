@@ -31,18 +31,11 @@ use ccq_nn::train::{evaluate, Batch};
 use ccq_nn::Network;
 use ccq_quant::{BitLadder, PolicyKind};
 use ccq_tensor::ops::matmul;
+use ccq_tensor::par::with_threads;
 use ccq_tensor::{rng, Init, Tensor};
 use std::hint::black_box;
 use std::process::ExitCode;
 use std::time::Instant;
-
-fn with_threads<T>(n: usize, f: impl FnOnce() -> T) -> T {
-    rayon::ThreadPoolBuilder::new()
-        .num_threads(n)
-        .build()
-        .expect("pool")
-        .install(f)
-}
 
 /// Median wall-clock over `reps` runs, in milliseconds.
 fn time_median_ms(reps: usize, mut f: impl FnMut()) -> f64 {

@@ -142,7 +142,7 @@ pub const RULES: [RuleInfo; 10] = [
         name: "concurrency",
         scope: "library code outside crates/tensor/src/par.rs, outside tests; the Mutex/RwLock ban covers the lock-free crates (ccq, ccq-tensor, ccq-nn, ccq-quant, ccq-infer)",
         rationale: "ad-hoc pools and raw std::thread::spawn bypass the deterministic rayon configuration; locks in descent hot paths serialize what chunking already partitions",
-        waiver_policy: "line waiver; the shared single-thread pool in ccq-nn carries the canonical one",
+        waiver_policy: "line waiver; none in the tree: ccq_tensor::par::with_threads is the one pool constructor",
     },
     RuleInfo {
         name: "wire-drift",
@@ -456,7 +456,7 @@ fn scan_token(
             "ThreadPoolBuilder" => emit(
                 "concurrency",
                 "thread-pool construction outside crates/tensor/src/par.rs; route work through \
-                 ccq_tensor::par or the shared single-thread pool"
+                 ccq_tensor::par::with_threads"
                     .into(),
             ),
             "thread"

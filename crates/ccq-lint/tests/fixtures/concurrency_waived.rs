@@ -1,6 +1,5 @@
 //! Fixture: waived concurrency — a deliberately serial pool with the
-//! invariant spelled out, mirroring `single_thread_pool` in
-//! `crates/nn/src/train.rs`.
+//! invariant spelled out.
 
 pub fn serial_pool() -> rayon::ThreadPool {
     // ccq-lint: allow(concurrency) — a single-thread pool pins deterministic reduction order

@@ -481,10 +481,8 @@ impl Competition {
         let chunks: Vec<&[Expert]> = experts.chunks(chunk).collect();
         let mut results: Vec<Result<Vec<f32>>> = chunks.iter().map(|_| Ok(Vec::new())).collect();
         let (head, rest) = results.split_at_mut(1);
-        // The calling thread probes chunk 0 under the shared single-thread
-        // pool so its inner evaluation doesn't oversubscribe while workers
-        // run; the pool is built once per process, not once per round.
-        let single = ccq_nn::train::single_thread_pool();
+        // The calling thread probes chunk 0 pinned to one thread so its
+        // inner evaluation doesn't oversubscribe while workers run.
         match cache {
             Some(c) => {
                 let mut tails: Vec<(Network, usize, usize)> = chunks[1..]
@@ -508,8 +506,9 @@ impl Competition {
                                 .collect();
                         });
                     }
-                    head[0] =
-                        single.install(|| Self::probe_round_serial(net, chunks[0], val, cache));
+                    head[0] = ccq_tensor::par::with_threads(1, || {
+                        Self::probe_round_serial(net, chunks[0], val, cache)
+                    });
                 });
             }
             None => {
@@ -524,8 +523,9 @@ impl Competition {
                             *slot = Self::probe_round_serial(clone, chunk_experts, val, None)
                         });
                     }
-                    head[0] =
-                        single.install(|| Self::probe_round_serial(net, chunks[0], val, None));
+                    head[0] = ccq_tensor::par::with_threads(1, || {
+                        Self::probe_round_serial(net, chunks[0], val, None)
+                    });
                 });
             }
         }

@@ -11,15 +11,8 @@ use ccq_models::mlp;
 use ccq_nn::train::Batch;
 use ccq_nn::Network;
 use ccq_quant::{BitLadder, PolicyKind};
+use ccq_tensor::par::with_threads;
 use ccq_tensor::rng;
-
-fn with_threads<T>(n: usize, f: impl FnOnce() -> T) -> T {
-    rayon::ThreadPoolBuilder::new()
-        .num_threads(n)
-        .build()
-        .expect("pool")
-        .install(f)
-}
 
 fn setup() -> (Network, Vec<Batch>) {
     let net = mlp(&[8, 16, 16, 4], PolicyKind::Pact, 3);

@@ -15,7 +15,7 @@
 //!
 //! The freshly built network's weights, quantization specs, and policy
 //! are placeholders — [`crate::PackedModel::apply`] overwrites all of
-//! them — so [`build`] seeds every architecture identically.
+//! them — so [`build`] leaves every weight zero instead of drawing it.
 
 use crate::{InferError, Result};
 use ccq_models::{mlp, plain_cnn, resnet18, resnet20, resnet50_style, ModelConfig};
@@ -45,6 +45,10 @@ pub fn model_arch(family: &str, classes: usize, width: usize) -> String {
 /// Returns [`InferError::PackFormat`] on an unknown family or malformed
 /// dimension list.
 pub fn build(arch: &str) -> Result<Network> {
+    ccq_tensor::with_placeholder_weights(|| build_structure(arch))
+}
+
+fn build_structure(arch: &str) -> Result<Network> {
     let (family, dims_str) = arch
         .split_once(':')
         .ok_or_else(|| bad(arch, "missing ':'"))?;

@@ -87,17 +87,9 @@ impl ActivationCache {
             Ok(())
         };
         // The recording forwards run serially on the calling thread;
-        // pin nested kernels to one thread when a wider pool is
-        // installed so they don't each spawn `current_num_threads()`
-        // workers per matmul.
-        #[cfg(feature = "parallel")]
-        if rayon::current_num_threads() > 1 {
-            crate::train::single_thread_pool().install(|| record(net))?;
-        } else {
-            record(net)?;
-        }
-        #[cfg(not(feature = "parallel"))]
-        record(net)?;
+        // pin nested kernels to one thread so they don't each spawn
+        // `current_num_threads()` workers per matmul.
+        ccq_tensor::par::with_threads(1, || record(net))?;
         Ok(ActivationCache {
             generation,
             segments,

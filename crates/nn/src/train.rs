@@ -3,7 +3,7 @@
 use crate::cache::ActivationCache;
 use crate::loss::{accuracy, cross_entropy};
 use crate::{Mode, Network, Result, Sgd};
-use ccq_tensor::{Rng64, Tensor};
+use ccq_tensor::{par, Rng64, Tensor};
 use rand::seq::SliceRandom;
 
 /// Minimum batches *per worker* before [`evaluate`] dispatches batches
@@ -12,23 +12,6 @@ use rand::seq::SliceRandom;
 /// parallel than serial).
 #[cfg(feature = "parallel")]
 const PAR_MIN_BATCHES_PER_WORKER: usize = 4;
-
-/// The lazily-initialized single-thread pool the calling thread uses to
-/// run its own share of a parallel region without oversubscribing —
-/// shared across every probe round and evaluation instead of being
-/// rebuilt inside the hot loop.
-#[cfg(feature = "parallel")]
-pub fn single_thread_pool() -> &'static rayon::ThreadPool {
-    static POOL: std::sync::OnceLock<rayon::ThreadPool> = std::sync::OnceLock::new();
-    POOL.get_or_init(|| {
-        // ccq-lint: allow(concurrency) — the one sanctioned pool outside par.rs: a shared single-thread pool for deterministic serial sections
-        rayon::ThreadPoolBuilder::new()
-            .num_threads(1)
-            .build()
-            // ccq-lint: allow(panic-surface) — pool build fails only on thread-spawn exhaustion; no recovery path
-            .expect("single-thread pool")
-    })
-}
 
 /// One minibatch: stacked inputs plus class labels.
 #[derive(Debug, Clone)]
@@ -146,16 +129,9 @@ pub fn evaluate_from(
         Ok(per_batch)
     };
     // Partial forwards always run serially on the calling thread; pin
-    // nested kernels to one thread when a wider pool is installed so
-    // each matmul doesn't spawn `current_num_threads()` workers.
-    #[cfg(feature = "parallel")]
-    let per_batch = if rayon::current_num_threads() > 1 {
-        single_thread_pool().install(|| run(net))?
-    } else {
-        run(net)?
-    };
-    #[cfg(not(feature = "parallel"))]
-    let per_batch = run(net)?;
+    // nested kernels to one thread so each matmul doesn't spawn
+    // `current_num_threads()` workers.
+    let per_batch = par::with_threads(1, || run(net))?;
     Ok(reduce_metrics(&per_batch, batches))
 }
 
@@ -186,20 +162,15 @@ fn eval_batches(net: &mut Network, batches: &[Batch]) -> Result<Vec<(f32, f32)>>
         // running on the calling thread leaves `current_num_threads()`
         // at the installed count, and every large-enough matmul inside
         // the forwards would spawn that many workers per call.
-        if threads <= 1 {
-            return eval_batches_serial(net, batches);
-        }
-        return single_thread_pool().install(|| eval_batches_serial(net, batches));
+        return par::with_threads(1, || eval_batches_serial(net, batches));
     }
     let chunk = batches.len().div_ceil(threads);
     let chunks: Vec<&[Batch]> = batches.chunks(chunk).collect();
     let mut clones: Vec<Network> = (1..chunks.len()).map(|_| net.clone()).collect();
     let mut results: Vec<Result<Vec<(f32, f32)>>> = chunks.iter().map(|_| Ok(Vec::new())).collect();
     let (head, tail) = results.split_at_mut(1);
-    // The calling thread works chunk 0 under the shared single-thread
-    // pool so its inner tensor kernels don't oversubscribe while
-    // workers run.
-    let single = single_thread_pool();
+    // The calling thread works chunk 0 pinned to one thread so its
+    // inner tensor kernels don't oversubscribe while workers run.
     rayon::scope(|s| {
         for ((chunk_batches, clone), slot) in chunks[1..]
             .iter()
@@ -208,7 +179,7 @@ fn eval_batches(net: &mut Network, batches: &[Batch]) -> Result<Vec<(f32, f32)>>
         {
             s.spawn(move |_| *slot = eval_batches_serial(clone, chunk_batches));
         }
-        head[0] = single.install(|| eval_batches_serial(net, chunks[0]));
+        head[0] = par::with_threads(1, || eval_batches_serial(net, chunks[0]));
     });
     let mut per_batch = Vec::with_capacity(batches.len());
     for r in results {

@@ -7,16 +7,9 @@ use ccq_nn::layers::{QConv2d, QLinear, Relu, Sequential};
 use ccq_nn::train::{evaluate, Batch};
 use ccq_nn::Network;
 use ccq_quant::{PolicyKind, QuantSpec};
+use ccq_tensor::par::with_threads;
 use ccq_tensor::{rng, Init};
 use proptest::prelude::*;
-
-fn with_threads<T>(n: usize, f: impl FnOnce() -> T) -> T {
-    rayon::ThreadPoolBuilder::new()
-        .num_threads(n)
-        .build()
-        .expect("pool")
-        .install(f)
-}
 
 fn batches(
     n_batches: usize,

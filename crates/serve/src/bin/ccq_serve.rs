@@ -13,7 +13,8 @@
 //! `run` drains the spool with a supervised worker pool; `stop` raises
 //! the graceful-shutdown sentinel (workers park at the next autosave
 //! boundary). A killed daemon needs no special handling: the next `run`
-//! reclaims `running/` orphans and resumes them bit-for-bit.
+//! reclaims `running/` orphans and resumes them bit-for-bit. The workers
+//! split the CPUs: each gets `cpus / workers` kernel threads.
 
 // A CLI talks on stdout/stderr by design.
 #![allow(clippy::print_stdout, clippy::print_stderr)]
@@ -25,7 +26,17 @@ use std::io::Read as _;
 use std::process::ExitCode;
 use std::sync::atomic::AtomicBool;
 
-const USAGE: &str = "usage: ccq-serve <init|demo-spec|enqueue|run|status|stop> ... (see --help)";
+const USAGE: &str = "\
+usage: ccq-serve init <root>
+       ccq-serve demo-spec <name> [--variant N]
+       ccq-serve enqueue <root> <spec-file>|-
+       ccq-serve run <root> [--workers N] [--drain] [--poll-ms MS]
+                            [--max-retries N] [--base-backoff-ms MS]
+       ccq-serve status <root> [--assert-done N]
+       ccq-serve stop <root>
+
+run: each of the N workers gets cpus / N kernel threads,
+at least 1; cpus is RAYON_NUM_THREADS or the detected CPU count.";
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -89,9 +100,10 @@ fn run(args: &[String]) -> Result<ExitCode, ServeError> {
             if let Some(ms) = flag_value(args, "--base-backoff-ms")? {
                 retry.base_backoff_ms = ms;
             }
+            let defaults = DaemonConfig::default();
             let cfg = DaemonConfig {
-                workers: flag_value(args, "--workers")?.unwrap_or(2),
-                poll_ms: flag_value(args, "--poll-ms")?.unwrap_or(50),
+                workers: flag_value(args, "--workers")?.unwrap_or(defaults.workers),
+                poll_ms: flag_value(args, "--poll-ms")?.unwrap_or(defaults.poll_ms),
                 drain: args.iter().any(|a| a == "--drain"),
                 retry,
             };

@@ -5,7 +5,13 @@
 //! order — and drives them through [`execute_job`] under the
 //! [`Supervisor`]'s deterministic retry/quarantine policy. Claim
 //! arbitration is a mutex-guarded [`BTreeSet`] of owned ids, so exactly
-//! one worker touches a job's artifacts at a time.
+//! one worker touches a job's artifacts at a time; a claim is dropped
+//! once its job has left `running/`.
+//!
+//! The workers share one CPU budget: each runs its jobs' kernels,
+//! evaluations and probes on `cpus / workers` threads (at least 1), so
+//! the pool never oversubscribes the host. Results are bit-identical at
+//! every budget.
 //!
 //! Shutdown is cooperative: an in-process [`AtomicBool`] or the spool's
 //! `stop` sentinel file (the cross-process channel — the workspace
@@ -20,6 +26,7 @@ use crate::status::{JobPhase, JobStatus};
 use crate::supervisor::{Decision, RetryPolicy, Supervisor};
 use crate::worker::{execute_job, AttemptOutcome};
 use ccq::MetricsRegistry;
+use ccq_tensor::par;
 use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Mutex, MutexGuard};
@@ -89,7 +96,20 @@ fn lock<'m, T>(m: &'m Mutex<T>) -> MutexGuard<'m, T> {
     m.lock().unwrap_or_else(|e| e.into_inner())
 }
 
-impl Shared<'_> {
+impl<'a> Shared<'a> {
+    fn new(spool: &'a Spool, cfg: &'a DaemonConfig, stop: &'a AtomicBool) -> Self {
+        Shared {
+            spool,
+            cfg,
+            stop,
+            state: Mutex::new(State {
+                claimed: BTreeSet::new(),
+                busy: 0,
+                report: DaemonReport::default(),
+            }),
+        }
+    }
+
     fn stopping(&self) -> bool {
         self.stop.load(Ordering::Relaxed) || self.spool.stop_requested()
     }
@@ -126,6 +146,16 @@ impl Shared<'_> {
             return Some(id);
         }
         None
+    }
+
+    /// Moves a finished job out of `running/` and drops its claim, so
+    /// the claim set holds only the jobs in flight. After a failed move
+    /// the claim stays: the job waits in `running/` for the next daemon
+    /// instead of being re-run by this one.
+    fn dispose(&self, id: &str, to: Dir) {
+        if self.spool.move_job(id, Dir::Running, to).is_ok() {
+            lock(&self.state).claimed.remove(id);
+        }
     }
 
     fn release(&self) {
@@ -182,7 +212,7 @@ fn process_job(shared: &Shared<'_>, id: &str) {
             status.phase = JobPhase::Failed;
             status.error = Some(e.to_string());
             let _ = status.save(&status_path);
-            let _ = spool.move_job(id, Dir::Running, Dir::Failed);
+            shared.dispose(id, Dir::Failed);
             shared.bump(|r| r.failed += 1);
             return;
         }
@@ -208,7 +238,7 @@ fn process_job(shared: &Shared<'_>, id: &str) {
                         status.phase = JobPhase::Done;
                         status.error = None;
                         let _ = status.save(&status_path);
-                        let _ = spool.move_job(id, Dir::Running, Dir::Done);
+                        shared.dispose(id, Dir::Done);
                         shared.bump(|r| r.done += 1);
                     }
                     AttemptOutcome::Paused { .. } => {
@@ -235,7 +265,7 @@ fn process_job(shared: &Shared<'_>, id: &str) {
                         status.phase = JobPhase::Quarantined;
                         status.error = Some(reason);
                         let _ = status.save(&status_path);
-                        let _ = spool.move_job(id, Dir::Running, Dir::Quarantined);
+                        shared.dispose(id, Dir::Quarantined);
                         shared.bump(|r| r.quarantined += 1);
                         return;
                     }
@@ -243,7 +273,7 @@ fn process_job(shared: &Shared<'_>, id: &str) {
                         status.phase = JobPhase::Failed;
                         status.error = Some(reason);
                         let _ = status.save(&status_path);
-                        let _ = spool.move_job(id, Dir::Running, Dir::Failed);
+                        shared.dispose(id, Dir::Failed);
                         shared.bump(|r| r.failed += 1);
                         return;
                     }
@@ -262,6 +292,13 @@ fn process_job(shared: &Shared<'_>, id: &str) {
     }
 }
 
+/// Kernel threads per worker: the workers split the CPUs (`cpus`, as
+/// `RAYON_NUM_THREADS` or the detected count) instead of each fanning
+/// every kernel out to all of them.
+fn kernel_budget(cpus: usize, workers: usize) -> usize {
+    (cpus / workers.max(1)).max(1)
+}
+
 /// Runs the daemon until `stop` (or the spool's stop sentinel) is
 /// raised — or, in drain mode, until the queue is empty. Clears a stale
 /// stop sentinel on startup, and writes the counter snapshot to
@@ -275,19 +312,11 @@ fn process_job(shared: &Shared<'_>, id: &str) {
 pub fn run_daemon(spool: &Spool, cfg: &DaemonConfig, stop: &AtomicBool) -> Result<DaemonReport> {
     spool.init()?;
     spool.clear_stop()?;
-    let shared = Shared {
-        spool,
-        cfg,
-        stop,
-        state: Mutex::new(State {
-            claimed: BTreeSet::new(),
-            busy: 0,
-            report: DaemonReport::default(),
-        }),
-    };
+    let shared = Shared::new(spool, cfg, stop);
+    let budget = kernel_budget(par::num_threads(), cfg.workers);
     std::thread::scope(|s| {
         for _ in 0..cfg.workers.max(1) {
-            s.spawn(|| worker_loop(&shared));
+            s.spawn(|| par::with_threads(budget, || worker_loop(&shared)));
         }
     });
     let report = lock(&shared.state).report;
@@ -329,6 +358,14 @@ mod tests {
     }
 
     #[test]
+    fn workers_split_the_kernel_threads() {
+        assert_eq!(kernel_budget(2, 2), 1);
+        assert_eq!(kernel_budget(8, 2), 4);
+        assert_eq!(kernel_budget(2, 3), 1);
+        assert_eq!(kernel_budget(2, 1), 2);
+    }
+
+    #[test]
     fn drain_daemon_completes_all_pending_jobs() {
         let (root, spool) = temp_spool("drain");
         spool.enqueue(&quick_demo("job-a", 0)).expect("enqueue a");
@@ -359,6 +396,31 @@ mod tests {
         }
         let metrics = fs::read_to_string(spool.metrics_path()).expect("metrics");
         assert!(metrics.contains("ccq_serve_jobs_total"));
+        fs::remove_dir_all(&root).ok();
+    }
+
+    #[test]
+    fn disposed_jobs_drop_their_claims() {
+        let (root, spool) = temp_spool("claims");
+        spool.enqueue(&quick_demo("good", 0)).expect("enqueue");
+        fs::write(spool.job_path(Dir::Pending, "broken"), "not a job spec\n").expect("plant");
+        let cfg = DaemonConfig {
+            workers: 1,
+            poll_ms: 5,
+            drain: true,
+            ..DaemonConfig::default()
+        };
+        let stop = AtomicBool::new(false);
+        let shared = Shared::new(&spool, &cfg, &stop);
+        worker_loop(&shared);
+        let st = lock(&shared.state);
+        assert_eq!((st.report.done, st.report.failed), (1, 1));
+        assert!(
+            st.claimed.is_empty(),
+            "claims outlived their jobs: {:?}",
+            st.claimed
+        );
+        drop(st);
         fs::remove_dir_all(&root).ok();
     }
 

@@ -2,6 +2,27 @@
 
 use crate::Tensor;
 use rand::{Rng, SeedableRng};
+use std::cell::Cell;
+
+thread_local! {
+    static PLACEHOLDER: Cell<bool> = const { Cell::new(false) };
+}
+
+/// Runs `f` with every random [`Init`] sampled on this thread returning
+/// zeros, without drawing from (or advancing) the generator. For
+/// networks built only to have their weights overwritten, such as a
+/// packed artifact's structure check and deploy target, where the draws
+/// are most of the build time.
+pub fn with_placeholder_weights<R>(f: impl FnOnce() -> R) -> R {
+    struct Restore(bool);
+    impl Drop for Restore {
+        fn drop(&mut self) {
+            PLACEHOLDER.with(|c| c.set(self.0));
+        }
+    }
+    let _restore = Restore(PLACEHOLDER.with(|c| c.replace(true)));
+    f()
+}
 
 /// The deterministic RNG used across the workspace.
 ///
@@ -97,12 +118,14 @@ pub enum Init {
 }
 
 impl Init {
-    /// Samples a tensor of the given shape from this initializer.
+    /// Samples a tensor of the given shape from this initializer (all
+    /// zeros for a random one inside [`with_placeholder_weights`]).
     pub fn sample(&self, dims: &[usize], rng: &mut Rng64) -> Tensor {
         match *self {
             Init::Zeros => Tensor::zeros(dims),
             Init::Ones => Tensor::ones(dims),
             Init::Constant(c) => Tensor::full(dims, c),
+            _ if PLACEHOLDER.with(Cell::get) => Tensor::zeros(dims),
             Init::Uniform { lo, hi } => Tensor::from_fn(dims, |_| rng.gen_range(lo..hi)),
             Init::Normal { mean, std } => {
                 Tensor::from_fn(dims, |_| mean + std * sample_standard_normal(rng))
@@ -181,6 +204,22 @@ mod tests {
         .sample(&[1000], &mut rng(5));
         let a = (6.0f32 / 6.0).sqrt();
         assert!(t.max() < a && t.min() > -a);
+    }
+
+    #[test]
+    fn placeholder_weights_skip_draws_inside_the_scope_only() {
+        let kaiming = Init::KaimingNormal { fan_in: 4 };
+        let mut r = rng(9);
+        let zeros = with_placeholder_weights(|| {
+            assert_eq!(Init::Ones.sample(&[2], &mut r).as_slice(), &[1.0; 2]);
+            kaiming.sample(&[8], &mut r)
+        });
+        assert_eq!(zeros.as_slice(), &[0.0; 8]);
+        assert_eq!(
+            kaiming.sample(&[8], &mut r),
+            kaiming.sample(&[8], &mut rng(9)),
+            "the generator was not advanced and drawing resumes after the scope"
+        );
     }
 
     #[test]

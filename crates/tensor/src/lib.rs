@@ -27,7 +27,7 @@ mod shape;
 mod tensor;
 
 pub use error::TensorError;
-pub use init::{rng, rng_from_state, rng_state, Init, Rng64};
+pub use init::{rng, rng_from_state, rng_state, with_placeholder_weights, Init, Rng64};
 pub use packed::{packed_byte_len, PackError, PackedInts};
 pub use shape::Shape;
 pub use tensor::Tensor;

@@ -9,7 +9,7 @@
 
 /// Number of worker threads parallel kernels may use (1 when the
 /// `parallel` feature is disabled). Controlled at runtime by
-/// `RAYON_NUM_THREADS` or an enclosing `ThreadPool::install`.
+/// `RAYON_NUM_THREADS` or an enclosing [`with_threads`].
 #[cfg(feature = "parallel")]
 pub fn num_threads() -> usize {
     rayon::current_num_threads()
@@ -20,6 +20,30 @@ pub fn num_threads() -> usize {
 #[cfg(not(feature = "parallel"))]
 pub fn num_threads() -> usize {
     1
+}
+
+/// Runs `f` with the parallel work it starts on this thread — kernels,
+/// evaluation, competition probes — limited to `n` threads (min 1).
+/// This is the workspace's one pool constructor: serial sections pin
+/// nested kernels with `with_threads(1, …)`, and the serve daemon gives
+/// each worker its share of the CPUs. Results are bit-identical at
+/// every `n`; only scheduling changes.
+#[cfg(feature = "parallel")]
+pub fn with_threads<R: Send>(n: usize, f: impl FnOnce() -> R + Send) -> R {
+    match rayon::ThreadPoolBuilder::new()
+        .num_threads(n.max(1))
+        .build()
+    {
+        Ok(pool) => pool.install(f),
+        // Unpinned execution computes the same bits, just on more threads.
+        Err(_) => f(),
+    }
+}
+
+/// Runs `f` (no `parallel` feature: everything is already serial).
+#[cfg(not(feature = "parallel"))]
+pub fn with_threads<R>(_n: usize, f: impl FnOnce() -> R) -> R {
+    f()
 }
 
 /// Runs `f(chunk_index, chunk)` over consecutive `chunk_len`-sized

@@ -10,23 +10,15 @@
 use ccq_tensor::ops::{
     col2im, im2col, matmul, matmul_a_bt, matmul_at_b, transpose2d, Conv2dGeometry,
 };
+use ccq_tensor::par::with_threads;
 use ccq_tensor::{rng, Init, Tensor};
 use proptest::prelude::*;
 
 /// Thread counts to compare; 1 pins the sequential code path.
 const THREADS: [usize; 4] = [1, 2, 4, 8];
 
-/// Runs `f` under a pool forced to `n` threads.
-fn with_threads<T>(n: usize, f: impl FnOnce() -> T) -> T {
-    rayon::ThreadPoolBuilder::new()
-        .num_threads(n)
-        .build()
-        .expect("pool")
-        .install(f)
-}
-
 /// Asserts `op` yields bit-identical tensors at every thread count.
-fn assert_thread_invariant(op: impl Fn() -> Tensor) {
+fn assert_thread_invariant(op: impl Fn() -> Tensor + Sync) {
     let baseline = with_threads(1, &op);
     for &t in &THREADS[1..] {
         let out = with_threads(t, &op);

@@ -60,7 +60,10 @@ cargo test -q -p ccq --test golden_trace --no-default-features 2>> results/metri
 # byte-identical to the uninterrupted reference (events normalized for
 # the spool root embedded in autosave paths; see DESIGN.md §14). The
 # deployable CCQPACK artifact is part of that contract: a resumed run
-# must pack byte-identical bytes ---
+# must pack byte-identical bytes. The reference drains with one worker
+# (the full CPU budget) and the killed spool with two (budget cpus/2),
+# so the same cmp lines also prove the daemon's CPU budget changes no
+# byte ---
 cargo build --release -p ccq-serve 2> results/build_serve.log || exit 1
 SERVE=target/release/ccq-serve
 serve_spec() { # $1 = job name, $2 = seed offset
@@ -98,11 +101,16 @@ for SPOOL in results/serve_ref results/serve_kill; do
   serve_spec smoke-a 0 | $SERVE enqueue "$SPOOL" - > /dev/null || exit 1
   serve_spec smoke-b 5 | $SERVE enqueue "$SPOOL" - > /dev/null || exit 1
 done
-$SERVE run results/serve_ref --workers 2 --drain > results/serve.log 2>&1 || exit 1
+$SERVE run results/serve_ref --workers 1 --drain > results/serve.log 2>&1 || exit 1
 $SERVE status results/serve_ref --assert-done 2 >> results/serve.log 2>&1 || exit 1
 $SERVE run results/serve_kill --workers 2 >> results/serve.log 2>&1 &
 SERVE_PID=$!
-sleep 1.5
+# Kill at the first autosave, not after a fixed delay: at one kernel
+# thread per worker both jobs finish in well under a second.
+for _ in $(seq 500); do
+  ls results/serve_kill/running/*.ccqruns > /dev/null 2>&1 && break
+  sleep 0.01
+done
 kill -9 "$SERVE_PID" 2>/dev/null
 wait "$SERVE_PID" 2>/dev/null
 $SERVE run results/serve_kill --workers 2 --drain >> results/serve.log 2>&1 || exit 1
