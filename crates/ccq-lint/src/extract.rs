@@ -1,12 +1,10 @@
 //! Cross-file wire-format fact extraction and drift checking.
 //!
-//! CCQ serializes state in five hand-rolled formats, each with an
-//! emitter and a parser that must agree key-for-key:
+//! The text records — JSONL events, the probe-cache sidecar and the
+//! `ccq-job v1` spec — cannot drift: each has one field list that both
+//! its writer and its reader walk. The formats left here still pair two
+//! halves by hand:
 //!
-//! * the JSONL event stream — `event_json` in `event.rs` writes keys
-//!   that `decode_event` in `replay.rs` reads back;
-//! * the `ccq-job v1` text spec — `JobSpec::render` writes `key = value`
-//!   lines that `JobSpec::parse` reads back (same file, two halves);
 //! * the metrics exposition — names registered through
 //!   `inc`/`set_gauge`/`observe` in `metrics.rs` back the `# TYPE`
 //!   families in the golden `metrics.txt`;
@@ -15,15 +13,13 @@
 //! * the CCQPACK v1 deployable artifact — `TAG_*` section tags in
 //!   `crates/infer/src/format.rs`, same writer/reader pairing rule.
 //!
-//! This module harvests those string-literal facts from the token
-//! stream ([`crate::lexer`] keeps the unquoted literal content, escapes
-//! unresolved) and reports any emitted-but-unparsed or
-//! parsed-but-never-emitted key as a `wire-drift` finding carrying both
-//! locations: the orphaned fact's own, and the counterpart side's
-//! anchor.
+//! This module harvests those facts from the token stream and reports a
+//! golden family with no registration, or a section tag used on fewer
+//! than two sides, as a `wire-drift` finding carrying both locations:
+//! the orphaned fact's own, and the counterpart side's anchor.
 //!
 //! Test code (`#[cfg(test)]` regions) contributes no facts: round-trip
-//! tests quote keys freely without being part of the wire format.
+//! tests name tags freely without being part of the wire format.
 
 use crate::lexer::{lex, Tok, TokKind};
 use crate::rules::{collect_waivers, test_mask, FileCtx, FileKind, Finding, Related, Waiver};
@@ -32,13 +28,6 @@ use std::collections::{BTreeMap, BTreeSet};
 /// Which half of which wire format a source file holds.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum WireRole {
-    /// `event.rs`: builds JSON event lines (and is the kind authority).
-    EventEmit,
-    /// `replay.rs`: parses JSON event lines (and emits the probe-cache
-    /// sidecar, so it contributes emit facts too).
-    EventParse,
-    /// `spec.rs`: both renders and parses the `ccq-job v1` text format.
-    Spec,
     /// `metrics.rs`: registers metric names.
     Metrics,
     /// The golden `metrics.txt` exposition (plain text, not Rust).
@@ -103,14 +92,6 @@ impl<'a> RsFile<'a> {
         }
     }
 
-    /// Non-test string-literal tokens.
-    fn strs(&self) -> impl Iterator<Item = &Tok> {
-        self.code
-            .iter()
-            .filter(|&&i| !self.in_test[i] && self.toks[i].is_str())
-            .map(|&i| &self.toks[i])
-    }
-
     fn fact(&self, t: &Tok, key: &str) -> Fact {
         Fact {
             key: key.to_string(),
@@ -127,12 +108,6 @@ impl<'a> RsFile<'a> {
 /// suppresses nothing is reported stale from here (the per-file pass
 /// defers to this one for those).
 pub fn check_wire(sources: &[WireSource<'_>]) -> Vec<Finding> {
-    let mut emit_json: Vec<Fact> = Vec::new();
-    let mut parse_json: Vec<Fact> = Vec::new();
-    let mut emit_kind: Vec<Fact> = Vec::new();
-    let mut parse_kind: Vec<Fact> = Vec::new();
-    let mut spec_emit: Vec<Fact> = Vec::new();
-    let mut spec_parse: Vec<Fact> = Vec::new();
     let mut metric_reg: Vec<Fact> = Vec::new();
     let mut golden_fam: Vec<Fact> = Vec::new();
     let mut tag_defs: Vec<Fact> = Vec::new();
@@ -152,26 +127,6 @@ pub fn check_wire(sources: &[WireSource<'_>]) -> Vec<Finding> {
         let f = RsFile::new(s.path, s.src);
         rs_waivers.push((s.path.to_string(), wire_waivers(s.path, &f.toks)));
         match s.role {
-            WireRole::EventEmit => {
-                have.insert("event-emit");
-                let (keys, kinds) = json_emit_facts(&f);
-                emit_json.extend(keys);
-                emit_kind.extend(kinds);
-            }
-            WireRole::EventParse => {
-                have.insert("event-parse");
-                // The parser side also renders the probe-cache sidecar,
-                // so it contributes emit facts for its own keys.
-                let (keys, _) = json_emit_facts(&f);
-                emit_json.extend(keys);
-                parse_json.extend(json_parse_facts(&f));
-                parse_kind.extend(decode_arm_facts(&f));
-            }
-            WireRole::Spec => {
-                have.insert("spec");
-                spec_emit.extend(spec_emit_facts(&f));
-                spec_parse.extend(spec_parse_facts(&f));
-            }
             WireRole::Metrics => {
                 have.insert("metrics");
                 metric_reg.extend(metric_reg_facts(&f));
@@ -193,52 +148,6 @@ pub fn check_wire(sources: &[WireSource<'_>]) -> Vec<Finding> {
     }
 
     let mut raw = Vec::new();
-    if have.contains("event-emit") && have.contains("event-parse") {
-        drift(
-            &emit_json,
-            &parse_json,
-            "JSON event key",
-            "is emitted here but never parsed by decode_event",
-            &mut raw,
-        );
-        drift(
-            &parse_json,
-            &emit_json,
-            "JSON event key",
-            "is parsed here but never emitted by event_json",
-            &mut raw,
-        );
-        drift(
-            &emit_kind,
-            &parse_kind,
-            "event kind",
-            "is emitted here but decode_event has no matching arm",
-            &mut raw,
-        );
-        drift(
-            &parse_kind,
-            &emit_kind,
-            "event kind",
-            "has a decode arm here but is never emitted",
-            &mut raw,
-        );
-    }
-    if have.contains("spec") {
-        drift(
-            &spec_emit,
-            &spec_parse,
-            "spec key",
-            "is rendered here but never read back by JobSpec::parse",
-            &mut raw,
-        );
-        drift(
-            &spec_parse,
-            &spec_emit,
-            "spec key",
-            "is read here but JobSpec::render never writes it",
-            &mut raw,
-        );
-    }
     if have.contains("metrics") && have.contains("golden") {
         // One direction only: a registered name missing from the golden
         // just means that run never touched it; a golden family with no
@@ -363,151 +272,6 @@ fn tag_drift(format: &str, defs: &[Fact], uses: &[Fact], out: &mut Vec<Finding>)
             related: first.map(Fact::related),
         });
     }
-}
-
-/// Harvests emitted JSON keys (`\"key\":` inside string literals) and
-/// event-kind values (`\"event\":\"kind\"`). The lexer keeps literal
-/// content with escapes unresolved, so an emitted key appears exactly as
-/// the two characters `\"` followed by the key and `\":`.
-fn json_emit_facts(f: &RsFile<'_>) -> (Vec<Fact>, Vec<Fact>) {
-    let mut keys = Vec::new();
-    let mut kinds = Vec::new();
-    for t in f.strs() {
-        let bytes = t.text.as_bytes();
-        let mut i = 0usize;
-        while i + 1 < bytes.len() {
-            if !(bytes[i] == b'\\' && bytes[i + 1] == b'"') {
-                i += 1;
-                continue;
-            }
-            let start = i + 2;
-            let mut j = start;
-            while j < bytes.len() && (bytes[j].is_ascii_alphanumeric() || bytes[j] == b'_') {
-                j += 1;
-            }
-            // `\"key\":` — closing escaped quote then a colon.
-            if j > start
-                && bytes.get(j) == Some(&b'\\')
-                && bytes.get(j + 1) == Some(&b'"')
-                && bytes.get(j + 2) == Some(&b':')
-            {
-                let key = &t.text[start..j];
-                keys.push(f.fact(t, key));
-                // `\"event\":\"kind\"` — the kind value rides along.
-                if key == "event"
-                    && bytes.get(j + 3) == Some(&b'\\')
-                    && bytes.get(j + 4) == Some(&b'"')
-                {
-                    let vstart = j + 5;
-                    let mut v = vstart;
-                    while v < bytes.len() && (bytes[v].is_ascii_alphanumeric() || bytes[v] == b'_')
-                    {
-                        v += 1;
-                    }
-                    if v > vstart && bytes.get(v) == Some(&b'\\') && bytes.get(v + 1) == Some(&b'"')
-                    {
-                        kinds.push(f.fact(t, &t.text[vstart..v]));
-                    }
-                }
-                i = j + 3;
-            } else {
-                i += 2;
-            }
-        }
-    }
-    (keys, kinds)
-}
-
-/// Harvests parsed JSON keys: the string argument of `field("…")` /
-/// `*_field("…")` accessor calls.
-fn json_parse_facts(f: &RsFile<'_>) -> Vec<Fact> {
-    let mut out = Vec::new();
-    for p in 0..f.code.len() {
-        let i = f.code[p];
-        if f.in_test[i] {
-            continue;
-        }
-        let t = &f.toks[i];
-        let is_accessor =
-            t.kind == TokKind::Ident && (t.text == "field" || t.text.ends_with("_field"));
-        if !is_accessor {
-            continue;
-        }
-        let open = f.code.get(p + 1).map(|&j| &f.toks[j]);
-        let arg = f.code.get(p + 2).map(|&j| &f.toks[j]);
-        if let (Some(open), Some(arg)) = (open, arg) {
-            if open.is_punct("(") && arg.is_str() {
-                out.push(f.fact(arg, &arg.text));
-            }
-        }
-    }
-    out
-}
-
-/// Harvests the match arms of `fn decode_event`: string literals
-/// immediately followed by `=>` inside that function's body.
-fn decode_arm_facts(f: &RsFile<'_>) -> Vec<Fact> {
-    let mut out = Vec::new();
-    // Find `fn decode_event`, then its body by brace matching.
-    let Some(p0) = (0..f.code.len().saturating_sub(1)).find(|&p| {
-        f.toks[f.code[p]].is_ident("fn") && f.toks[f.code[p + 1]].is_ident("decode_event")
-    }) else {
-        return out;
-    };
-    let Some(body) = (p0..f.code.len()).find(|&p| f.toks[f.code[p]].is_punct("{")) else {
-        return out;
-    };
-    let mut depth = 0usize;
-    for p in body..f.code.len() {
-        let t = &f.toks[f.code[p]];
-        if t.is_punct("{") {
-            depth += 1;
-        } else if t.is_punct("}") {
-            depth -= 1;
-            if depth == 0 {
-                break;
-            }
-        } else if t.is_str() && f.code.get(p + 1).is_some_and(|&j| f.toks[j].is_punct("=>")) {
-            out.push(f.fact(t, &t.text));
-        }
-    }
-    out
-}
-
-/// Harvests rendered spec keys: string literals of the form
-/// `key = …` (the `writeln!` format strings of `JobSpec::render`).
-fn spec_emit_facts(f: &RsFile<'_>) -> Vec<Fact> {
-    let mut out = Vec::new();
-    for t in f.strs() {
-        let bytes = t.text.as_bytes();
-        let mut j = 0usize;
-        while j < bytes.len() && (bytes[j].is_ascii_alphanumeric() || bytes[j] == b'_') {
-            j += 1;
-        }
-        if j > 0 && t.text[j..].starts_with(" = ") {
-            out.push(f.fact(t, &t.text[..j]));
-        }
-    }
-    out
-}
-
-/// Harvests parsed spec keys: the string argument of `get("…")`.
-fn spec_parse_facts(f: &RsFile<'_>) -> Vec<Fact> {
-    let mut out = Vec::new();
-    for p in 0..f.code.len() {
-        let i = f.code[p];
-        if f.in_test[i] || !f.toks[i].is_ident("get") {
-            continue;
-        }
-        let open = f.code.get(p + 1).map(|&j| &f.toks[j]);
-        let arg = f.code.get(p + 2).map(|&j| &f.toks[j]);
-        if let (Some(open), Some(arg)) = (open, arg) {
-            if open.is_punct("(") && arg.is_str() {
-                out.push(f.fact(arg, &arg.text));
-            }
-        }
-    }
-    out
 }
 
 /// Harvests registered metric names: the first string argument of

@@ -6,7 +6,7 @@
 //! equivalence across engine refactors. Those invariants are easy to
 //! break silently — one `HashMap` in the Hedge update, one
 //! `Instant::now()` in a descent decision, one bare `unwrap()` in the
-//! autosave path, one JSON key renamed on only one side of the wire.
+//! autosave path, one section tag the reader forgot to match.
 //! This crate makes them machine-checked on every commit:
 //!
 //! | rule | scope | forbids |
@@ -18,7 +18,7 @@
 //! | `feature-hygiene` | everywhere | `feature = "…"` strings not declared in the crate's `Cargo.toml` |
 //! | `durability` | [`rules::DURABILITY_PATHS`] + `crates/serve/src/**` | `rename` without a same-function `sync_all`; `File::create` on a final path |
 //! | `concurrency` | library code outside [`rules::SANCTIONED_POOL_PATHS`] | `ThreadPoolBuilder`, `std::thread::spawn`; `Mutex`/`RwLock` in [`rules::LOCK_FREE_CRATES`] |
-//! | `wire-drift` | cross-file (see [`extract`]) | serialized keys emitted but never parsed, or parsed but never emitted |
+//! | `wire-drift` | cross-file (see [`extract`]) | golden metric families never registered; CCQRUNS/CCQPACK section tags not used by both writer and reader |
 //! | `stale-waiver` | every waiver | waivers that suppress nothing |
 //!
 //! Test code (`tests/`, `#[cfg(test)]` items, `#[test]` fns) is exempt
@@ -111,10 +111,7 @@ pub fn lint_workspace(root: &Path) -> io::Result<Vec<Finding>> {
 
 /// The fixed role map of the cross-file pass: workspace-relative path →
 /// which half of which wire format it holds.
-pub const WIRE_ROLES: [(&str, WireRole); 7] = [
-    ("crates/core/src/event.rs", WireRole::EventEmit),
-    ("crates/core/src/replay.rs", WireRole::EventParse),
-    ("crates/serve/src/spec.rs", WireRole::Spec),
+pub const WIRE_ROLES: [(&str, WireRole); 4] = [
     ("crates/core/src/metrics.rs", WireRole::Metrics),
     (
         "crates/core/tests/golden/metrics.txt",
@@ -127,7 +124,7 @@ pub const WIRE_ROLES: [(&str, WireRole); 7] = [
 /// Reads whichever wire-format files exist under `root` and cross-checks
 /// them; formats with a missing half are skipped, so the pass also works
 /// on partial trees (the seeded-drift smoke check in `run_suite.sh`
-/// copies just the event/replay pair into a scratch root).
+/// copies just `run_state.rs` into a scratch root).
 fn wire_pass(root: &Path) -> io::Result<Vec<Finding>> {
     let mut owned: Vec<(String, String, WireRole)> = Vec::new();
     for (rel, role) in WIRE_ROLES {

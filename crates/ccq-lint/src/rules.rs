@@ -75,10 +75,7 @@ pub const DURABILITY_PATHS: [&str; 3] = [
 /// [`crate::extract::check_wire`]. `wire-drift` waivers are only valid
 /// in these files (plus the golden metrics text, which cannot carry
 /// Rust comments).
-pub const WIRE_RS_PATHS: [&str; 6] = [
-    "crates/core/src/event.rs",
-    "crates/core/src/replay.rs",
-    "crates/serve/src/spec.rs",
+pub const WIRE_RS_PATHS: [&str; 3] = [
     "crates/core/src/metrics.rs",
     "crates/core/src/run_state.rs",
     "crates/infer/src/format.rs",
@@ -146,9 +143,9 @@ pub const RULES: [RuleInfo; 10] = [
     },
     RuleInfo {
         name: "wire-drift",
-        scope: "cross-file: event.rs vs replay.rs JSON keys and event kinds, spec.rs render vs parse, golden metrics.txt vs metrics.rs registrations, CCQRUNS tags in run_state.rs, CCQPACK tags in infer/src/format.rs",
-        rationale: "a serialized key emitted but never parsed (or vice versa) ships silent data loss that golden re-blessing can hide",
-        waiver_policy: "line waiver in the wire file, standing alone (not mixed with other rules); used for deliberate forward-compat keys",
+        scope: "cross-file: golden metrics.txt vs metrics.rs registrations, CCQRUNS tags in run_state.rs, CCQPACK tags in infer/src/format.rs (the JSONL event, probe-cache and job-spec records share one field list per record and need no check)",
+        rationale: "a section tag written but never read (or a golden family nothing registers) ships silent data loss that golden re-blessing can hide",
+        waiver_policy: "line waiver in the wire file, standing alone (not mixed with other rules); used for deliberately reserved tags",
     },
     RuleInfo {
         name: "waiver",
@@ -988,13 +985,13 @@ fn b() { y.expect(\"setup\"); }
     fn wire_drift_waivers_must_stand_alone_in_wire_files() {
         let feats = BTreeSet::new();
         let mut ctx = lib_ctx(&feats);
-        ctx.path = "crates/core/src/event.rs".into();
+        ctx.path = "crates/core/src/run_state.rs".into();
         let mixed = "// ccq-lint: allow(wire-drift, panic-surface) — both\nfn a() {}\n";
         let f = check_file(&ctx, mixed);
         assert!(f.iter().any(|x| x.rule == "waiver"), "{f:#?}");
         // Standing alone in a wire file: parsed, and never reported
         // stale by the per-file pass (the cross-file pass owns it).
-        let alone = "// ccq-lint: allow(wire-drift) — forward-compat key\nfn a() {}\n";
+        let alone = "// ccq-lint: allow(wire-drift) — reserved tag\nfn a() {}\n";
         assert!(check_file(&ctx, alone).is_empty());
         // Outside the wire files it is malformed.
         ctx.path = "crates/core/src/engine.rs".into();

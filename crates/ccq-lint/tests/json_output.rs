@@ -8,15 +8,13 @@ use ccq_lint::{render_json, Finding, Related};
 fn sample() -> Vec<Finding> {
     vec![
         Finding {
-            path: "crates/core/src/event.rs".into(),
+            path: "crates/core/tests/golden/metrics.txt".into(),
             line: 41,
-            col: 18,
+            col: 1,
             rule: "wire-drift",
-            message:
-                "JSON event key \"learning_rate\" is emitted here but never parsed by decode_event"
-                    .into(),
+            message: "golden metric family \"ccq_steps_total\" has no registration".into(),
             related: Some(Related {
-                path: "crates/core/src/replay.rs".into(),
+                path: "crates/core/src/metrics.rs".into(),
                 line: 107,
                 col: 22,
             }),
@@ -47,10 +45,10 @@ fn populated_document_bytes_are_pinned() {
         "  \"version\": 1,\n",
         "  \"count\": 2,\n",
         "  \"findings\": [\n",
-        "    {\"file\": \"crates/core/src/event.rs\", \"line\": 41, \"col\": 18, ",
-        "\"rule\": \"wire-drift\", \"message\": \"JSON event key \\\"learning_rate\\\" ",
-        "is emitted here but never parsed by decode_event\", ",
-        "\"related\": {\"file\": \"crates/core/src/replay.rs\", \"line\": 107, \"col\": 22}},\n",
+        "    {\"file\": \"crates/core/tests/golden/metrics.txt\", \"line\": 41, \"col\": 1, ",
+        "\"rule\": \"wire-drift\", \"message\": \"golden metric family ",
+        "\\\"ccq_steps_total\\\" has no registration\", ",
+        "\"related\": {\"file\": \"crates/core/src/metrics.rs\", \"line\": 107, \"col\": 22}},\n",
         "    {\"file\": \"crates/serve/src/spool.rs\", \"line\": 9, \"col\": 5, ",
         "\"rule\": \"durability\", \"message\": ",
         "\"rename without a preceding sync_all in the same function\"}\n",

@@ -1,5 +1,5 @@
-//! Cross-file wire-drift tests: each format pair lints clean when the
-//! halves agree, fires a two-location diagnostic when they drift, is
+//! Cross-file wire-drift tests: each hand-paired format lints clean when
+//! its halves agree, fires a two-location diagnostic when they drift, is
 //! waivable at the orphaned site, and flags the waiver itself once it
 //! stops suppressing anything.
 
@@ -16,9 +16,6 @@ fn load(name: &str) -> String {
 
 /// Fixture sources masquerade as the real wire files: wire-drift
 /// waivers are only valid at those paths, exactly as in production.
-const EVENT_RS: &str = "crates/core/src/event.rs";
-const REPLAY_RS: &str = "crates/core/src/replay.rs";
-const SPEC_RS: &str = "crates/serve/src/spec.rs";
 const METRICS_RS: &str = "crates/core/src/metrics.rs";
 const GOLDEN_TXT: &str = "crates/core/tests/golden/metrics.txt";
 const RUN_STATE_RS: &str = "crates/core/src/run_state.rs";
@@ -26,176 +23,6 @@ const PACK_FORMAT_RS: &str = "crates/infer/src/format.rs";
 
 fn rules(findings: &[Finding]) -> Vec<&str> {
     findings.iter().map(|f| f.rule).collect()
-}
-
-#[test]
-fn symmetric_event_pair_is_clean() {
-    let emit = load("event_emit_clean.rs");
-    let parse = load("event_parse_clean.rs");
-    let f = check_wire(&[
-        WireSource {
-            role: WireRole::EventEmit,
-            path: EVENT_RS,
-            src: &emit,
-        },
-        WireSource {
-            role: WireRole::EventParse,
-            path: REPLAY_RS,
-            src: &parse,
-        },
-    ]);
-    assert!(f.is_empty(), "{f:#?}");
-}
-
-#[test]
-fn drifted_emitter_fires_on_both_sides_with_both_locations() {
-    let emit = load("event_emit_fire.rs");
-    let parse = load("event_parse_clean.rs");
-    let f = check_wire(&[
-        WireSource {
-            role: WireRole::EventEmit,
-            path: EVENT_RS,
-            src: &emit,
-        },
-        WireSource {
-            role: WireRole::EventParse,
-            path: REPLAY_RS,
-            src: &parse,
-        },
-    ]);
-    // `learning_rate` and `path` emitted but unparsed, the `autosave`
-    // kind has no decode arm, and the decoder still reads `lr`.
-    assert_eq!(rules(&f), ["wire-drift"; 4], "{f:#?}");
-
-    let renamed = f
-        .iter()
-        .find(|x| x.message.contains("\"learning_rate\""))
-        .expect("renamed key should fire on the emit side");
-    assert_eq!(renamed.path, EVENT_RS, "{renamed:#?}");
-    assert!(renamed.message.contains("never parsed"), "{renamed:#?}");
-    let rel = renamed.related.as_ref().expect("counterpart location");
-    assert_eq!(rel.path, REPLAY_RS, "{renamed:#?}");
-    // Display renders both locations for editor navigation.
-    assert!(
-        renamed
-            .to_string()
-            .contains("(counterpart: crates/core/src/replay.rs:"),
-        "{renamed}"
-    );
-
-    let orphan_read = f
-        .iter()
-        .find(|x| x.message.contains("\"lr\""))
-        .expect("the stranded read should fire on the parse side");
-    assert_eq!(orphan_read.path, REPLAY_RS, "{orphan_read:#?}");
-    assert!(
-        orphan_read.message.contains("never emitted"),
-        "{orphan_read:#?}"
-    );
-    assert_eq!(
-        orphan_read.related.as_ref().map(|r| r.path.as_str()),
-        Some(EVENT_RS),
-        "{orphan_read:#?}"
-    );
-
-    let kind = f
-        .iter()
-        .find(|x| x.message.contains("\"autosave\""))
-        .expect("the unparsed kind should fire");
-    assert!(kind.message.contains("no matching arm"), "{kind:#?}");
-}
-
-#[test]
-fn waived_forward_compat_key_is_clean() {
-    let emit = load("event_emit_waived.rs");
-    let parse = load("event_parse_clean.rs");
-    let f = check_wire(&[
-        WireSource {
-            role: WireRole::EventEmit,
-            path: EVENT_RS,
-            src: &emit,
-        },
-        WireSource {
-            role: WireRole::EventParse,
-            path: REPLAY_RS,
-            src: &parse,
-        },
-    ]);
-    // The `schema` key is emitted but never parsed; the standalone
-    // wire-drift waiver records the intent, and because it suppresses a
-    // live finding it is not stale either.
-    assert!(f.is_empty(), "{f:#?}");
-}
-
-#[test]
-fn stale_wire_drift_waiver_is_flagged() {
-    let emit = load("event_emit_stale.rs");
-    let parse = load("event_parse_clean.rs");
-    let f = check_wire(&[
-        WireSource {
-            role: WireRole::EventEmit,
-            path: EVENT_RS,
-            src: &emit,
-        },
-        WireSource {
-            role: WireRole::EventParse,
-            path: REPLAY_RS,
-            src: &parse,
-        },
-    ]);
-    assert_eq!(rules(&f), ["stale-waiver"], "{f:#?}");
-    assert_eq!(f[0].path, EVENT_RS, "{f:#?}");
-    assert!(f[0].message.contains("wire-drift"), "{f:#?}");
-}
-
-#[test]
-fn missing_counterpart_skips_the_format() {
-    // With only the emit half present there is nothing to drift
-    // against, so a drifted emitter stays quiet rather than spraying
-    // false orphans. This is what lets the seeded-drift smoke test run
-    // on a two-file scratch tree.
-    let emit = load("event_emit_fire.rs");
-    let f = check_wire(&[WireSource {
-        role: WireRole::EventEmit,
-        path: EVENT_RS,
-        src: &emit,
-    }]);
-    assert!(f.is_empty(), "{f:#?}");
-}
-
-#[test]
-fn symmetric_spec_round_trip_is_clean() {
-    let spec = load("spec_clean.rs");
-    let f = check_wire(&[WireSource {
-        role: WireRole::Spec,
-        path: SPEC_RS,
-        src: &spec,
-    }]);
-    assert!(f.is_empty(), "{f:#?}");
-}
-
-#[test]
-fn drifted_spec_key_fires_on_both_halves() {
-    let spec = load("spec_fire.rs");
-    let f = check_wire(&[WireSource {
-        role: WireRole::Spec,
-        path: SPEC_RS,
-        src: &spec,
-    }]);
-    // `seed` rendered but never read back; `rng_seed` read but never
-    // rendered — one finding per orphaned half.
-    assert_eq!(rules(&f), ["wire-drift"; 2], "{f:#?}");
-    assert!(
-        f.iter()
-            .any(|x| x.message.contains("\"seed\"") && x.message.contains("never read back")),
-        "{f:#?}"
-    );
-    assert!(
-        f.iter()
-            .any(|x| x.message.contains("\"rng_seed\"") && x.message.contains("never writes")),
-        "{f:#?}"
-    );
-    assert!(f.iter().all(|x| x.related.is_some()), "{f:#?}");
 }
 
 #[test]
@@ -242,6 +69,28 @@ fn unregistered_golden_family_fires_at_the_type_line() {
         Some(METRICS_RS),
         "{f:#?}"
     );
+    // Display renders both locations for editor navigation.
+    assert!(
+        f[0].to_string()
+            .contains("(counterpart: crates/core/src/metrics.rs:"),
+        "{}",
+        f[0]
+    );
+}
+
+#[test]
+fn missing_counterpart_skips_the_format() {
+    // With only the golden half present there is nothing to drift
+    // against, so an unregistered family stays quiet rather than
+    // spraying false orphans. This is what lets the pass run on partial
+    // trees.
+    let golden = load("golden_fire.txt");
+    let f = check_wire(&[WireSource {
+        role: WireRole::GoldenMetrics,
+        path: GOLDEN_TXT,
+        src: &golden,
+    }]);
+    assert!(f.is_empty(), "{f:#?}");
 }
 
 #[test]
@@ -268,6 +117,33 @@ fn tag_pushed_but_never_matched_fires_at_its_definition() {
     assert!(f[0].message.contains("TAG_ZERO"), "{f:#?}");
     assert!(f[0].message.contains("used on 1 side(s)"), "{f:#?}");
     assert!(f[0].related.is_some(), "{f:#?}");
+}
+
+#[test]
+fn waived_reserved_tag_is_clean() {
+    // `TAG_ZERO` is written but never matched; the standalone waiver
+    // records the intent, and because it suppresses a live finding it
+    // is not stale either.
+    let rs = load("run_state_waived.rs");
+    let f = check_wire(&[WireSource {
+        role: WireRole::RunState,
+        path: RUN_STATE_RS,
+        src: &rs,
+    }]);
+    assert!(f.is_empty(), "{f:#?}");
+}
+
+#[test]
+fn stale_wire_drift_waiver_is_flagged() {
+    let rs = load("run_state_stale.rs");
+    let f = check_wire(&[WireSource {
+        role: WireRole::RunState,
+        path: RUN_STATE_RS,
+        src: &rs,
+    }]);
+    assert_eq!(rules(&f), ["stale-waiver"], "{f:#?}");
+    assert_eq!(f[0].path, RUN_STATE_RS, "{f:#?}");
+    assert!(f[0].message.contains("wire-drift"), "{f:#?}");
 }
 
 #[test]

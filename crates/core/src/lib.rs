@@ -59,6 +59,7 @@ mod replay;
 mod run_state;
 mod runner;
 mod searcher;
+mod wire;
 
 pub use clock::{Clock, ManualClock, WallClock};
 pub use competition::{

@@ -15,21 +15,23 @@ cargo run -q -p ccq-lint -- --format json > results/lint.json 2> results/lint.lo
 cargo run -q -p ccq-lint --no-default-features -- --format json > results/lint_serial.json 2>> results/lint.log || exit 1
 cmp results/lint.json results/lint_serial.json || exit 1
 
-# --- seeded-drift smoke: renaming one emitted JSON key in a scratch
-# copy of the event emitter/decoder pair must trip wire-drift (exit
-# nonzero, diagnostics on both sides); proves the cross-file pass has
-# teeth, not just a clean bill on HEAD ---
+# --- seeded-drift smoke: renaming the reader's match arm for one
+# CCQRUNS section tag in a scratch copy of run_state.rs must trip
+# wire-drift (exit nonzero, the orphaned tag named); proves the
+# cross-file pass has teeth, not just a clean bill on HEAD. The JSONL
+# event, probe-cache and job-spec records need no such check: each has
+# one field list that its writer and reader share ---
 DRIFT=results/drift_smoke
 rm -rf "$DRIFT"
 mkdir -p "$DRIFT/crates/core/src"
-cp crates/core/src/event.rs crates/core/src/replay.rs "$DRIFT/crates/core/src/"
-sed -i 's/\\"valley_accuracy\\":/\\"valley_acc\\":/' "$DRIFT/crates/core/src/event.rs"
+cp crates/core/src/run_state.rs "$DRIFT/crates/core/src/"
+sed -i 's/^\( *\)TAG_RELEQ => /\1TAG_RELEQ_RENAMED => /' "$DRIFT/crates/core/src/run_state.rs"
 if cargo run -q -p ccq-lint -- --format json "$DRIFT" > results/drift_smoke.json 2>> results/lint.log; then
   echo "seeded wire drift was NOT detected" >> results/lint.log
   exit 1
 fi
 grep -q '"rule": "wire-drift"' results/drift_smoke.json || exit 1
-grep -q 'valley_acc' results/drift_smoke.json || exit 1
+grep -q 'TAG_RELEQ ' results/drift_smoke.json || exit 1
 rm -rf "$DRIFT"
 
 # --- gates: both feature configurations must pass, lints are errors,
