@@ -20,7 +20,6 @@ use ccq_nn::{Mode, Network, Sgd};
 use ccq_quant::{quantization_mse, BitLadder, BitWidth};
 use ccq_tensor::{rng, Rng64, Tensor};
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// Configuration for [`hawq_assign`].
 #[derive(Debug, Clone)]
@@ -62,7 +61,7 @@ impl Default for HawqConfig {
 }
 
 /// Result of the HAWQ-proxy baseline.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct HawqReport {
     /// Accuracy of the incoming full-precision network.
     pub baseline_accuracy: f32,

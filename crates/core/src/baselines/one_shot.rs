@@ -7,7 +7,6 @@ use ccq_nn::train::{evaluate, Batch};
 use ccq_nn::{Network, Sgd};
 use ccq_quant::BitWidth;
 use ccq_tensor::{rng, Rng64};
-use serde::{Deserialize, Serialize};
 
 /// Configuration for [`one_shot_quantize`].
 #[derive(Debug, Clone)]
@@ -60,7 +59,7 @@ impl OneShotConfig {
 }
 
 /// Result of a one-shot quantization run.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct OneShotReport {
     /// Accuracy of the incoming full-precision network.
     pub baseline_accuracy: f32,

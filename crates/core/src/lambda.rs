@@ -1,7 +1,5 @@
 //! The memory-aggressiveness parameter λ (paper Eq. 7).
 
-use serde::{Deserialize, Serialize};
-
 /// Linear decay schedule for the model-compression weight λ.
 ///
 /// Eq. 7 blends the learned layer-selection distribution with a
@@ -21,7 +19,7 @@ use serde::{Deserialize, Serialize};
 /// assert!((s.value(4) - 0.2).abs() < 1e-6);
 /// assert!((s.average() - 0.5).abs() < 1e-6);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LambdaSchedule {
     start: f32,
     end: f32,

@@ -5,10 +5,9 @@ use ccq_nn::schedule::HybridRestart;
 use ccq_nn::train::{evaluate, train_epoch, Batch};
 use ccq_nn::{Network, Sgd};
 use ccq_tensor::Rng64;
-use serde::{Deserialize, Serialize};
 
 /// How many epochs of fine-tuning follow each quantization step.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum RecoveryMode {
     /// A fixed epoch budget `S_t` chosen beforehand (the paper's *manual*
     /// scheme — works until one hard step fails to converge, Fig. 3).
@@ -38,7 +37,7 @@ impl Default for RecoveryMode {
 }
 
 /// One epoch of a recovery trace.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RecoveryEpoch {
     /// Mean training loss of the epoch.
     pub train_loss: f32,
@@ -49,7 +48,7 @@ pub struct RecoveryEpoch {
 }
 
 /// The outcome of one collaboration stage.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RecoveryRecord {
     /// Epochs actually used (`S_t`).
     pub epochs: usize,

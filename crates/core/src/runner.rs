@@ -16,7 +16,6 @@ use ccq_nn::train::Batch;
 use ccq_nn::Network;
 use ccq_quant::{BitLadder, BitWidth};
 use ccq_tensor::Rng64;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::path::{Path, PathBuf};
 
@@ -132,7 +131,7 @@ impl Default for CcqConfig {
 }
 
 /// The full outcome of a CCQ run.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct CcqReport {
     /// Accuracy of the incoming full-precision network.
     pub baseline_accuracy: f32,

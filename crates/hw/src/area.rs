@@ -7,7 +7,6 @@
 
 use crate::{LayerProfile, MacEnergyModel};
 use ccq_quant::BitWidth;
-use serde::{Deserialize, Serialize};
 
 /// Area of an 8×8 integer MAC at 45 nm, in µm² (array multiplier plus
 /// accumulator; representative synthesis figure).
@@ -29,7 +28,7 @@ pub fn mac_area_um2(model: &MacEnergyModel, weight_bits: BitWidth, act_bits: Bit
 }
 
 /// Energy and area accounting for one inference of a network.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct InferenceReport {
     /// Total MACs per inference.
     pub total_macs: u64,

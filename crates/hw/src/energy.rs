@@ -1,7 +1,6 @@
 //! Per-MAC energy and iso-throughput network power.
 
 use ccq_quant::BitWidth;
-use serde::{Deserialize, Serialize};
 
 /// Calibration constants at 45 nm (Horowitz, ISSCC 2014), in picojoules.
 const MULT8_PJ_45NM: f64 = 0.2;
@@ -18,7 +17,7 @@ const FP32_ADD_PJ_45NM: f64 = 0.9;
 /// fp32 multiply+add energy. Energy scales quadratically with feature size
 /// between nodes (dominant dynamic-energy term `C·V²` with both capacitance
 /// and voltage shrinking roughly linearly).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MacEnergyModel {
     node_nm: f64,
 }
@@ -80,7 +79,7 @@ impl Default for MacEnergyModel {
 ///
 /// Build these from `ccq_nn::Network::quant_layer_info` (the umbrella crate
 /// shows the one-line mapping) or by hand for paper-scale networks.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LayerProfile {
     /// Layer label.
     pub label: String,
@@ -95,7 +94,7 @@ pub struct LayerProfile {
 }
 
 /// Per-layer slice of a [`PowerReport`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LayerPower {
     /// Layer label.
     pub label: String,
@@ -106,7 +105,7 @@ pub struct LayerPower {
 }
 
 /// Iso-throughput power breakdown of a network (the Fig. 5 quantity).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PowerReport {
     /// Per-layer power, in layer order.
     pub layers: Vec<LayerPower>,

@@ -8,10 +8,9 @@
 //! at the mixed-precision widths, from either DRAM or on-chip SRAM.
 
 use crate::{LayerProfile, MacEnergyModel};
-use serde::{Deserialize, Serialize};
 
 /// Where the weights live.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum MemoryKind {
     /// Off-chip DRAM (≈ 20 pJ/bit at the 45 nm calibration point).
     Dram,
@@ -32,7 +31,7 @@ impl MemoryKind {
 }
 
 /// Weight-fetch energy accounting for one inference.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FetchReport {
     /// Total weight bits fetched per inference.
     pub bits: u64,

@@ -2,7 +2,6 @@
 
 use crate::LayerProfile;
 use ccq_quant::BitWidth;
-use serde::{Deserialize, Serialize};
 
 /// Bytes one layer's weights occupy in the packed deployable
 /// representation (`CCQPACK` / `ccq_tensor::PackedInts`): pruned layers
@@ -41,7 +40,7 @@ pub fn packed_weight_bytes(count: usize, bits: BitWidth) -> u64 {
 /// Matches the paper's model-compression column: compression is the ratio
 /// of full-precision weight storage to the mixed-precision storage,
 /// counting weights only (activations are transient).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SizeReport {
     /// Total weight scalars.
     pub param_count: usize,

@@ -1,7 +1,6 @@
 //! Learnable parameters.
 
 use ccq_tensor::Tensor;
-use serde::{Deserialize, Serialize};
 
 /// A learnable parameter: value, accumulated gradient, and the momentum
 /// buffer owned by SGD.
@@ -20,7 +19,7 @@ use serde::{Deserialize, Serialize};
 /// p.zero_grad();
 /// assert_eq!(p.grad.sum(), 0.0);
 /// ```
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Param {
     /// Current parameter value.
     pub value: Tensor,

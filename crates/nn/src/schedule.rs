@@ -1,7 +1,5 @@
 //! Learning-rate schedules, including the paper's hybrid restart schedule.
 
-use serde::{Deserialize, Serialize};
-
 /// A stateless learning-rate schedule evaluated per epoch.
 ///
 /// # Example
@@ -13,7 +11,7 @@ use serde::{Deserialize, Serialize};
 /// assert!((s.lr_at(0) - 0.1).abs() < 1e-6);
 /// assert!(s.lr_at(9) < s.lr_at(1));
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum LrSchedule {
     /// A constant learning rate.
     Constant {
@@ -76,7 +74,7 @@ impl LrSchedule {
 ///
 /// Drive it once per epoch with [`HybridRestart::next_lr`], feeding it the
 /// epoch's validation accuracy.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct HybridRestart {
     base_lr: f32,
     bump_factor: f32,

@@ -1,7 +1,6 @@
 //! Bit-width and bit-ladder types.
 
 use crate::{QuantError, Result};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A weight/activation bit precision in `1..=32`.
@@ -22,7 +21,7 @@ use std::fmt;
 /// assert!(BitWidth::FP32.is_full_precision());
 /// # Ok::<(), ccq_quant::QuantError>(())
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct BitWidth(u8);
 
 impl BitWidth {
@@ -127,7 +126,7 @@ impl fmt::Display for BitWidth {
 /// assert_eq!(ladder.next_below(BitWidth::of(2)), None); // bottom rung
 /// # Ok::<(), ccq_quant::QuantError>(())
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BitLadder {
     rungs: Vec<BitWidth>,
 }

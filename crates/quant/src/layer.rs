@@ -3,7 +3,6 @@
 use crate::policies::{aciq, dorefa, lsq, pact, sawb, uniform, wrpn};
 use crate::{BitWidth, PolicyKind};
 use ccq_tensor::Tensor;
-use serde::{Deserialize, Serialize};
 
 /// A layer's quantization configuration: policy plus weight/activation bit
 /// widths. This is the unit CCQ's competition mutates.
@@ -18,7 +17,7 @@ use serde::{Deserialize, Serialize};
 /// let q = spec.with_bits(BitWidth::of(4), BitWidth::of(4));
 /// assert_eq!(q.weight_bits, BitWidth::of(4));
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct QuantSpec {
     /// The quantization policy.
     pub policy: PolicyKind,
@@ -75,7 +74,7 @@ impl QuantSpec {
 /// [`act_backward`]: LayerQuant::act_backward
 /// [`weight_grad_mask`]: LayerQuant::weight_grad_mask
 /// [`take_alpha_grad`]: LayerQuant::take_alpha_grad
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct LayerQuant {
     spec: QuantSpec,
     alpha: f32,

@@ -1,6 +1,5 @@
 //! The policy enumeration that CCQ is agnostic over.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::str::FromStr;
 
@@ -20,7 +19,7 @@ use std::str::FromStr;
 /// assert_eq!(p.to_string(), "PACT");
 /// # Ok::<(), ccq_quant::QuantError>(())
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum PolicyKind {
     /// DoReFa-Net: tanh-normalized weights, `[0,1]`-clipped activations.
     Dorefa,

@@ -1,7 +1,6 @@
 //! Dynamic tensor shapes.
 
 use crate::{Result, TensorError};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A dynamically-sized tensor shape (list of dimension extents).
@@ -20,7 +19,7 @@ use std::fmt;
 /// assert_eq!(s.numel(), 24);
 /// assert_eq!(s.strides(), vec![12, 4, 1]);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Shape {
     dims: Vec<usize>,
 }

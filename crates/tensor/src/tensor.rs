@@ -1,7 +1,6 @@
 //! The dense `f32` tensor type.
 
 use crate::{Result, Shape, TensorError};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A dense, contiguous, row-major `f32` tensor with dynamic shape.
@@ -24,7 +23,7 @@ use std::fmt;
 /// let y = x.map(|v| v * 2.0);
 /// assert_eq!(y.as_slice(), &[6.0, 6.0, 6.0, 6.0]);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Tensor {
     shape: Shape,
     data: Vec<f32>,
