@@ -60,7 +60,17 @@ fn bench_competition(c: &mut Criterion) {
             let mut comp = Competition::new(0.5, 2);
             let mut r = rng(1);
             let out = comp
-                .run(&mut net, &ladder, None, &lambda, 0, &val[..1], &mut r)
+                .run(
+                    &mut net,
+                    &ladder,
+                    None,
+                    &lambda,
+                    0,
+                    &val[..1],
+                    &mut r,
+                    &[],
+                    None,
+                )
                 .expect("competition");
             for (i, spec) in snapshot.into_iter().enumerate() {
                 net.set_quant_spec(i, spec);

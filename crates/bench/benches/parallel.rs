@@ -87,7 +87,7 @@ fn bench_competition_10_rounds(c: &mut Criterion) {
                 let out = with_threads(t, || {
                     let mut comp = Competition::new(0.5, 10);
                     let mut r = rng(1);
-                    comp.run(&mut net, &ladder, None, &lambda, 0, &val, &mut r)
+                    comp.run(&mut net, &ladder, None, &lambda, 0, &val, &mut r, &[], None)
                         .expect("competition")
                 });
                 // Undo the applied winner so the ladder never drains.

@@ -137,8 +137,18 @@ fn main() {
                 let out = with_threads(t, || {
                     let mut comp = Competition::new(0.5, 10);
                     let mut rr = rng(1);
-                    comp.run(&mut net, &ladder, None, &lambda, 0, &val, &mut rr)
-                        .expect("competition")
+                    comp.run(
+                        &mut net,
+                        &ladder,
+                        None,
+                        &lambda,
+                        0,
+                        &val,
+                        &mut rr,
+                        &[],
+                        None,
+                    )
+                    .expect("competition")
                 });
                 black_box(out);
                 for (i, spec) in specs.iter().enumerate() {

@@ -101,7 +101,7 @@ fn competition_once(net: &mut Network, val: &[Batch], incremental: bool) {
     let mut comp = Competition::new(0.5, 10).incremental(incremental);
     let mut rr = rng(1);
     let out = comp
-        .run(net, &ladder, None, &lambda, 0, val, &mut rr)
+        .run(net, &ladder, None, &lambda, 0, val, &mut rr, &[], None)
         .expect("competition");
     black_box(out);
     for (i, spec) in specs.iter().enumerate() {

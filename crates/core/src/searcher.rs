@@ -257,7 +257,7 @@ impl Searcher for HedgeSearcher {
         quarantined: &[usize],
         observer: Option<&mut ProbeObserver>,
     ) -> Result<Option<CompetitionOutcome>> {
-        self.comp.run_observed(
+        self.comp.run(
             net,
             ladder,
             targets,
@@ -338,7 +338,7 @@ impl Searcher for ZeroBitSearcher {
         observer: Option<&mut ProbeObserver>,
     ) -> Result<Option<CompetitionOutcome>> {
         let ladder = ladder.with_zero_rung();
-        self.comp.run_observed(
+        self.comp.run(
             net,
             &ladder,
             targets,
@@ -851,7 +851,7 @@ mod tests {
         let mut r_b = rng(7);
         for step in 0..4 {
             let a = raw
-                .run_observed(
+                .run(
                     &mut net_a,
                     &ladder,
                     None,

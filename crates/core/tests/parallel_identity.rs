@@ -33,7 +33,17 @@ fn run_competition(threads: usize, comp: Competition, steps: usize) -> (Vec<Stri
         let mut trace = Vec::new();
         for step in 0..steps {
             let out = comp
-                .run(&mut net, &ladder, None, &lambda, step, &val, &mut r)
+                .run(
+                    &mut net,
+                    &ladder,
+                    None,
+                    &lambda,
+                    step,
+                    &val,
+                    &mut r,
+                    &[],
+                    None,
+                )
                 .expect("competition runs");
             match out {
                 Some(o) => {

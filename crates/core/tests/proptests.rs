@@ -73,7 +73,7 @@ proptest! {
         // Every layer starts at fp and must walk every rung.
         let expected = layers * ladder.len();
         while comp
-            .run(&mut net, &ladder, None, &lambda, steps, &val, &mut r)
+            .run(&mut net, &ladder, None, &lambda, steps, &val, &mut r, &[], None)
             .expect("competition")
             .is_some()
         {
@@ -106,6 +106,8 @@ proptest! {
                 0,
                 &val,
                 &mut r,
+                &[],
+                None,
             )
             .expect("competition")
             .expect("all layers active");
