@@ -215,6 +215,9 @@ fn main() -> ExitCode {
     };
     let batch = if smoke { 2 } else { 8 };
     let parallel_feature = cfg!(feature = "parallel");
+    let cpus = std::thread::available_parallelism()
+        .map(std::num::NonZeroUsize::get)
+        .unwrap_or(1);
 
     let workloads = [
         (ModelKind::Resnet20, "resnet20", "resnet20"),
@@ -230,7 +233,7 @@ fn main() -> ExitCode {
     let mut json = String::new();
     json.push_str("{\n");
     json.push_str(&format!(
-        "  \"host\": {{ \"parallel_feature\": {parallel_feature}, \"reps\": {reps}, \"batch\": {batch} }},\n"
+        "  \"host\": {{ \"cpus\": {cpus}, \"parallel_feature\": {parallel_feature}, \"reps\": {reps}, \"batch\": {batch} }},\n"
     ));
     json.push_str(&format!(
         "  \"note\": \"Mixed int8/int4/int2 ladder with one pruned layer and an f32 head. \

@@ -374,10 +374,11 @@ impl RunState {
             for _ in 0..rank {
                 dims.push(r_u32(cur)? as usize);
             }
-            let numel: usize = dims.iter().product();
-            if numel > 1 << 28 {
-                return Err(malformed("implausible tensor size"));
-            }
+            let numel = dims
+                .iter()
+                .try_fold(1usize, |acc, &d| acc.checked_mul(d))
+                .filter(|&numel| numel <= 1 << 28)
+                .ok_or_else(|| malformed("implausible tensor size"))?;
             let mut data = Vec::with_capacity(numel);
             for _ in 0..numel {
                 data.push(r_f32(cur)?);

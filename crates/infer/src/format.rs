@@ -118,7 +118,7 @@ impl PackedModel {
             let act_step = r_f32(cur)?;
             let payload = match r_u8(cur)? {
                 PAYLOAD_PACKED => {
-                    let shape = r_shape(cur)?;
+                    let (shape, _) = r_shape(cur)?;
                     let bits = r_u32(cur)?;
                     if bits > 8 {
                         return Err(malformed(&format!("implausible packed width {bits}")));
@@ -358,7 +358,8 @@ fn r_string(cur: &mut &[u8], what: &str) -> Result<String> {
     Ok(s)
 }
 
-fn r_shape(cur: &mut &[u8]) -> Result<Vec<usize>> {
+/// Reads a rank and its dims; returns them with their element count.
+fn r_shape(cur: &mut &[u8]) -> Result<(Vec<usize>, usize)> {
     let rank = r_u32(cur)? as usize;
     if rank > 8 {
         return Err(malformed("implausible tensor rank"));
@@ -367,15 +368,16 @@ fn r_shape(cur: &mut &[u8]) -> Result<Vec<usize>> {
     for _ in 0..rank {
         dims.push(r_u32(cur)? as usize);
     }
-    if dims.iter().product::<usize>() > 1 << 28 {
-        return Err(malformed("implausible tensor size"));
-    }
-    Ok(dims)
+    let numel = dims
+        .iter()
+        .try_fold(1usize, |acc, &d| acc.checked_mul(d))
+        .filter(|&numel| numel <= 1 << 28)
+        .ok_or_else(|| malformed("implausible tensor size"))?;
+    Ok((dims, numel))
 }
 
 fn r_tensor(cur: &mut &[u8]) -> Result<Tensor> {
-    let dims = r_shape(cur)?;
-    let numel: usize = dims.iter().product();
+    let (dims, numel) = r_shape(cur)?;
     let mut data = Vec::with_capacity(numel);
     for _ in 0..numel {
         data.push(r_f32(cur)?);

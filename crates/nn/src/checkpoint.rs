@@ -257,10 +257,11 @@ impl Checkpoint {
             for _ in 0..rank {
                 dims.push(read_u32(&mut cur)? as usize);
             }
-            let numel: usize = dims.iter().product();
-            if numel > 1 << 28 {
-                return Err(NnError::CheckpointFormat("implausible tensor size".into()));
-            }
+            let numel = dims
+                .iter()
+                .try_fold(1usize, |acc, &d| acc.checked_mul(d))
+                .filter(|&numel| numel <= 1 << 28)
+                .ok_or_else(|| NnError::CheckpointFormat("implausible tensor size".into()))?;
             let mut data = Vec::with_capacity(numel);
             for _ in 0..numel {
                 data.push(read_f32(&mut cur)?);

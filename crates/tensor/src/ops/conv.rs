@@ -7,6 +7,8 @@
 //! sample in one GEMM. `col2im` is the adjoint (scatter-add), used for the
 //! input gradient.
 
+use std::ops::Range;
+
 use crate::par::for_each_chunk_mut;
 use crate::{Result, Tensor, TensorError};
 
@@ -111,9 +113,15 @@ pub fn im2col(input: &Tensor, geom: Conv2dGeometry) -> Result<Tensor> {
 
 /// Fills one `[N·OH·OW]` row of the patch matrix: kernel element
 /// `(row % kw, (row / kw) % kh)` of channel `row / (kh·kw)`.
-fn im2col_row(
-    iv: &[f32],
-    orow: &mut [f32],
+///
+/// `orow` must arrive zeroed: padding positions are left untouched. The
+/// in-image output rows and columns are computed once per row, so each
+/// (sample, output row) is one contiguous copy at stride 1 and one
+/// strided gather at larger strides. Shared by the f32 [`im2col`] and the
+/// integer-code [`int_im2col`](crate::ops::int_im2col).
+pub(crate) fn im2col_row<T: Copy>(
+    iv: &[T],
+    orow: &mut [T],
     row: usize,
     geom: Conv2dGeometry,
     (n, c, h, w): (usize, usize, usize, usize),
@@ -123,25 +131,36 @@ fn im2col_row(
     let ci = row / (kh * kw);
     let ki = (row / kw) % kh;
     let kj = row % kw;
+    let ys = in_image(oh, h, ki, s, p);
+    let xs = in_image(ow, w, kj, s, p);
+    if xs.is_empty() {
+        return; // every column reads padding, and `x0` may lie past `w`
+    }
+    // First input column read; `xs.start·s + kj ≥ p` by construction.
+    let x0 = xs.start * s + kj - p;
     for ni in 0..n {
         let in_base = (ni * c + ci) * h * w;
-        for ohi in 0..oh {
-            // Input row for this kernel element, may be in padding.
-            let iy = (ohi * s + ki) as isize - p as isize;
+        for ohi in ys.clone() {
+            let src = &iv[in_base + (ohi * s + ki - p) * w + x0..];
             let col_base = (ni * oh + ohi) * ow;
-            if iy < 0 || iy >= h as isize {
-                continue; // zeros already in place
-            }
-            let in_row = in_base + iy as usize * w;
-            for owi in 0..ow {
-                let ix = (owi * s + kj) as isize - p as isize;
-                if ix < 0 || ix >= w as isize {
-                    continue;
+            let dst = &mut orow[col_base + xs.start..col_base + xs.end];
+            if s == 1 {
+                dst.copy_from_slice(&src[..dst.len()]);
+            } else {
+                for (d, &v) in dst.iter_mut().zip(src.iter().step_by(s)) {
+                    *d = v;
                 }
-                orow[col_base + owi] = iv[in_row + ix as usize];
             }
         }
     }
+}
+
+/// Output positions `o < out` whose input index `o·s + k − p` lies in
+/// `[0, len)`: the rest read padding.
+fn in_image(out: usize, len: usize, k: usize, s: usize, p: usize) -> Range<usize> {
+    let lo = p.saturating_sub(k).div_ceil(s);
+    let hi = (len + p).saturating_sub(k).div_ceil(s).min(out);
+    lo..hi.max(lo)
 }
 
 /// Adjoint of [`im2col`]: scatter-adds a `[C·kh·kw, N·OH·OW]` patch matrix

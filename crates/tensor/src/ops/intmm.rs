@@ -8,12 +8,19 @@
 //!
 //! The kernels are intentionally serial and in index order — an integer
 //! sum is associative, but keeping one canonical order means the packed
-//! path needs no thread-count caveats at all. Callers are responsible
-//! for the accumulator range: with `k` inner products of magnitude at
-//! most `|a|·|w| ≤ 255·127`, overflow is impossible for `k` up to
-//! ~66 000, far beyond any CCQ layer; [`int_accumulator_safe`] makes the
-//! check explicit so layer code can assert it rather than assume it.
+//! path needs no thread-count caveats at all. [`int_im2col`] is serial
+//! too, although the f32 [`im2col`](crate::ops::im2col) that shares its
+//! row routine splits rows across threads: a packed forward then spawns
+//! no threads, and a caller running several inferences at once decides
+//! the thread count alone.
+//!
+//! Callers are responsible for the accumulator range: with `k` inner
+//! products of magnitude at most `|a|·|w| ≤ 255·127`, overflow is
+//! impossible for `k` up to ~66 000, far beyond any CCQ layer;
+//! [`int_accumulator_safe`] makes the check explicit so layer code can
+//! assert it rather than assume it.
 
+use crate::ops::conv::im2col_row;
 use crate::ops::Conv2dGeometry;
 use crate::{Result, TensorError};
 
@@ -101,32 +108,12 @@ pub fn int_im2col(codes: &[i16], dims: [usize; 4], geom: Conv2dGeometry) -> Resu
     let [n, c, h, w] = dims;
     check_len(codes.len(), n * c * h * w)?;
     let (oh, ow) = geom.output_hw(h, w)?;
-    let (kh, kw, s, p) = (geom.kernel_h, geom.kernel_w, geom.stride, geom.padding);
-    let rows = c * kh * kw;
+    let rows = c * geom.kernel_h * geom.kernel_w;
     let cols = n * oh * ow;
     let mut out = vec![0i16; rows * cols];
-    for row in 0..rows {
-        let ci = row / (kh * kw);
-        let ki = (row / kw) % kh;
-        let kj = row % kw;
-        let orow = &mut out[row * cols..(row + 1) * cols];
-        for ni in 0..n {
-            let in_base = (ni * c + ci) * h * w;
-            for ohi in 0..oh {
-                let iy = (ohi * s + ki) as isize - p as isize;
-                let col_base = (ni * oh + ohi) * ow;
-                if iy < 0 || iy >= h as isize {
-                    continue; // zeros already in place
-                }
-                let in_row = in_base + iy as usize * w;
-                for owi in 0..ow {
-                    let ix = (owi * s + kj) as isize - p as isize;
-                    if ix < 0 || ix >= w as isize {
-                        continue;
-                    }
-                    orow[col_base + owi] = codes[in_row + ix as usize];
-                }
-            }
+    if cols > 0 {
+        for (row, orow) in out.chunks_exact_mut(cols).enumerate() {
+            im2col_row(codes, orow, row, geom, (n, c, h, w), (oh, ow));
         }
     }
     Ok(out)
@@ -142,7 +129,7 @@ fn check_len(actual: usize, expected: usize) -> Result<()> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ops::{im2col, matmul, matmul_a_bt};
+    use crate::ops::{matmul, matmul_a_bt};
     use crate::{rng, Init, Tensor};
     use rand::Rng;
 
@@ -189,31 +176,6 @@ mod tests {
         let want = matmul(&af, &bf).unwrap();
         let want: Vec<i32> = want.as_slice().iter().map(|&v| v as i32).collect();
         assert_eq!(got, want);
-    }
-
-    #[test]
-    fn int_im2col_matches_f32_layout() {
-        let mut r = rng(13);
-        for (n, c, h, w, kern, stride, pad) in [
-            (2, 3, 5, 5, 3, 1, 1),
-            (1, 2, 4, 6, 3, 2, 0),
-            (2, 1, 3, 3, 1, 1, 0),
-        ] {
-            let geom = Conv2dGeometry {
-                kernel_h: kern,
-                kernel_w: kern,
-                stride,
-                padding: pad,
-            };
-            let codes: Vec<i16> = (0..n * c * h * w)
-                .map(|_| r.gen_range(-64..192i32) as i16)
-                .collect();
-            let got = int_im2col(&codes, [n, c, h, w], geom).unwrap();
-            let xf = codes_to_tensor(&codes, &[n, c, h, w]);
-            let want = im2col(&xf, geom).unwrap();
-            let want: Vec<i16> = want.as_slice().iter().map(|&v| v as i16).collect();
-            assert_eq!(got, want, "geometry {geom:?}");
-        }
     }
 
     #[test]

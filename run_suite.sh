@@ -36,7 +36,8 @@ rm -rf "$DRIFT"
 
 # --- gates: both feature configurations must pass, lints are errors,
 # formatting is canonical, rustdoc builds warning-free (the workspace
-# test run includes ccq-lint's own fixture + self-clean tests) ---
+# test run includes ccq-lint's own fixture tests; the root package's
+# tests/workspace_clean.rs carries the self-clean test, so tier-1 runs it) ---
 cargo test --workspace -q 2> results/test.log || exit 1
 cargo test --workspace -q --no-default-features 2> results/test_serial.log || exit 1
 cargo clippy --workspace --all-targets -- -D warnings 2> results/clippy.log || exit 1
