@@ -4,10 +4,18 @@ use crate::layer::{Layer, Mode, PackedExec, QuantHandle, StateTag};
 use crate::{NnError, Param, Result};
 use ccq_quant::{LayerQuant, PackedWeights, QuantSpec};
 use ccq_tensor::ops::{
-    col2im, im2col, int_accumulator_safe, int_im2col, int_matmul, matmul, matmul_a_bt, matmul_at_b,
-    Conv2dGeometry,
+    col2im, im2col, int_accumulator_safe, int_conv2d, matmul, matmul_a_bt, matmul_at_b,
+    Conv2dGeometry, IntConvScratch,
 };
 use ccq_tensor::{Init, Rng64, Tensor, TensorError};
+use std::cell::RefCell;
+
+thread_local! {
+    /// Working memory of the integer convolution, shared by every conv
+    /// layer that runs on this thread: one buffer the size of the
+    /// largest layer rather than one per layer.
+    static INT_SCRATCH: RefCell<IntConvScratch> = RefCell::new(IntConvScratch::default());
+}
 
 /// A 2-D convolution with fake-quantized weights and inputs.
 ///
@@ -286,7 +294,7 @@ impl Layer for QConv2d {
         } else {
             None
         };
-        let out_mat = match act {
+        let y = match act {
             Some(ac)
                 if int_accumulator_safe(
                     ckk,
@@ -294,24 +302,28 @@ impl Layer for QConv2d {
                     packed.grid().qmax.unsigned_abs(),
                 ) =>
             {
-                let cols = int_im2col(&ac.codes, [n, self.in_ch, h, w], self.geom)?;
-                let wcodes = packed.codes_i8();
-                let acc = int_matmul(&wcodes, &cols, self.out_ch, ckk, n * oh * ow)?;
                 let scale = ac.scale() * packed.grid().scale();
-                let mut m = Tensor::zeros(&[self.out_ch, n * oh * ow]);
-                for (o, &a) in m.as_mut_slice().iter_mut().zip(&acc) {
-                    *o = a as f32 * scale;
-                }
-                m
+                let bias = self.bias.as_ref().map(|p| p.value.as_slice());
+                INT_SCRATCH.with_borrow_mut(|scratch| {
+                    int_conv2d(
+                        &ac.codes,
+                        [n, self.in_ch, h, w],
+                        self.geom,
+                        packed.codes_i8(),
+                        self.out_ch,
+                        scale,
+                        bias,
+                        scratch,
+                    )
+                })?
             }
             _ => {
                 let xq = self.quant.quantize_acts(x);
                 let cols = im2col(&xq, self.geom)?;
                 let wq = packed.dequantize().reshape(&[self.out_ch, ckk])?;
-                matmul(&wq, &cols)?
+                self.mat_to_nchw(&matmul(&wq, &cols)?, n, oh, ow)
             }
         };
-        let y = self.mat_to_nchw(&out_mat, n, oh, ow);
         self.macs = (ckk * oh * ow * self.out_ch) as u64;
         Ok(y)
     }

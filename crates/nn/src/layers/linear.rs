@@ -186,10 +186,9 @@ impl Layer for QLinear {
                     packed.grid().qmax.unsigned_abs(),
                 ) =>
             {
-                let wcodes = packed.codes_i8();
                 let acc = int_matmul_a_bt(
                     &ac.codes,
-                    &wcodes,
+                    packed.codes_i8(),
                     rows,
                     self.in_features,
                     self.out_features,

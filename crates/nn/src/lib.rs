@@ -15,9 +15,9 @@
 //! - [`loss::cross_entropy`], the [`Sgd`] optimizer, learning-rate
 //!   [`schedule`]s including the paper's hybrid plateau/cosine-restart
 //!   schedule, and batched [`train`] helpers;
-//! - [`integer`] — honest integer execution (`i32` operands, `i64`
-//!   accumulators) used to validate that fake-quantization matches what
-//!   deployment hardware computes;
+//! - [`Network::forward_packed`] — inference over packed integer
+//!   weights (`ccq-infer` builds and serializes them), either
+//!   dequantized or as true `i8×i8→i32` integer execution;
 //! - [`checkpoint`] — dependency-free binary save/load of trained
 //!   networks including their mixed-precision assignment.
 //!
@@ -44,7 +44,6 @@
 pub mod cache;
 pub mod checkpoint;
 mod error;
-pub mod integer;
 mod layer;
 pub mod layers;
 pub mod loss;

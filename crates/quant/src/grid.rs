@@ -24,7 +24,8 @@
 
 use crate::policies::{aciq, sawb};
 use crate::{BitWidth, PolicyKind};
-use ccq_tensor::{PackedInts, Tensor};
+use ccq_tensor::{PackError, PackedInts, Tensor};
+use std::sync::OnceLock;
 
 /// The symmetric integer grid of one packed weight tensor:
 /// `value(q) = (q / q_max) · α` for `q ∈ [-q_max, q_max]`.
@@ -110,12 +111,29 @@ pub fn symmetric_codes(w: &Tensor, alpha: f32, bits: u32) -> Vec<i8> {
 ///
 /// The pruned rung (`BitWidth::ZERO`) is a first-class citizen: zero
 /// payload bytes, [`PackedWeights::dequantize`] returns zeros.
-#[derive(Debug, Clone, PartialEq)]
+///
+/// The signed codes the integer kernels read are decoded once, on the
+/// first [`PackedWeights::codes_i8`] call, and kept next to the packed
+/// bytes; a copy that never runs integer execution (an artifact being
+/// written or applied) never keeps them.
+#[derive(Debug, Clone)]
 pub struct PackedWeights {
     shape: Vec<usize>,
     bits: u32,
     grid: WeightGrid,
     codes: PackedInts,
+    signed: OnceLock<Vec<i8>>,
+}
+
+/// Equal shape, grid and packed codes; whether either side has decoded
+/// its codes yet does not matter.
+impl PartialEq for PackedWeights {
+    fn eq(&self, other: &Self) -> bool {
+        self.shape == other.shape
+            && self.bits == other.bits
+            && self.grid == other.grid
+            && self.codes == other.codes
+    }
 }
 
 impl PackedWeights {
@@ -139,6 +157,7 @@ impl PackedWeights {
                     qmax: 1,
                 },
                 codes,
+                signed: OnceLock::new(),
             });
         }
         if bits > 8 {
@@ -158,6 +177,7 @@ impl PackedWeights {
             bits,
             grid: WeightGrid { alpha, qmax },
             codes,
+            signed: OnceLock::new(),
         })
     }
 
@@ -165,21 +185,26 @@ impl PackedWeights {
     ///
     /// # Errors
     ///
-    /// Returns a [`ccq_tensor::PackError`] when the byte payload does
-    /// not match the declared element count and width.
+    /// Returns [`PackError::ShapeOverflow`] when the shape's element
+    /// count does not fit a `usize`, and another [`PackError`] when the
+    /// byte payload does not match the declared element count and width.
     pub fn from_parts(
         shape: Vec<usize>,
         bits: u32,
         grid: WeightGrid,
         bytes: Vec<u8>,
-    ) -> Result<Self, ccq_tensor::PackError> {
-        let len = shape.iter().product();
+    ) -> Result<Self, PackError> {
+        let len = shape
+            .iter()
+            .try_fold(1usize, |n, &d| n.checked_mul(d))
+            .ok_or(PackError::ShapeOverflow)?;
         let codes = PackedInts::from_parts(bytes, len, bits)?;
         Ok(Self {
             shape,
             bits,
             grid,
             codes,
+            signed: OnceLock::new(),
         })
     }
 
@@ -218,17 +243,12 @@ impl PackedWeights {
         self.codes.is_empty()
     }
 
-    /// The signed grid codes, one `i8` per weight (integer-kernel input).
-    /// Pruned tensors decode to all-zero codes.
-    pub fn codes_i8(&self) -> Vec<i8> {
-        if self.bits == 0 {
-            return vec![0; self.codes.len()];
-        }
-        let (bits, qmax) = (self.bits, self.grid.qmax);
-        self.codes
-            .iter()
-            .map(|c| unbias_code(c, bits, qmax))
-            .collect()
+    /// The signed grid codes, one `i8` per weight (integer-kernel input),
+    /// decoded from the packed bytes on the first call. Pruned tensors
+    /// decode to all-zero codes.
+    pub fn codes_i8(&self) -> &[i8] {
+        self.signed
+            .get_or_init(|| decode_signed(&self.codes, self.bits, self.grid.qmax))
     }
 
     /// Reconstructs the fake-quant tensor **bit-exactly**: the result is
@@ -239,11 +259,45 @@ impl PackedWeights {
         if self.bits == 0 {
             return out;
         }
-        let (bits, qmax, grid) = (self.bits, self.grid.qmax, self.grid);
-        for (o, c) in out.as_mut_slice().iter_mut().zip(self.codes.iter()) {
-            *o = grid.value(i32::from(unbias_code(c, bits, qmax)));
+        // Decode without keeping the codes unless integer execution
+        // already did: an artifact applied to a net dequantizes once.
+        let decoded;
+        let codes = match self.signed.get() {
+            Some(codes) => codes,
+            None => {
+                decoded = decode_signed(&self.codes, self.bits, self.grid.qmax);
+                &decoded
+            }
+        };
+        let grid = self.grid;
+        for (o, &q) in out.as_mut_slice().iter_mut().zip(codes) {
+            *o = grid.value(i32::from(q));
         }
         out
+    }
+}
+
+/// The signed codes of a packed payload, in one pass over its bytes:
+/// each storage code maps through a table of [`unbias_code`].
+fn decode_signed(codes: &PackedInts, bits: u32, qmax: i32) -> Vec<i8> {
+    let len = codes.len();
+    if bits == 0 {
+        return vec![0; len];
+    }
+    let mut table = [0i8; 256];
+    for (c, t) in (0..=u8::MAX).zip(table.iter_mut()) {
+        *t = unbias_code(c, bits, qmax);
+    }
+    let bytes = codes.bytes();
+    if bits <= 4 {
+        // Two codes per byte, low nibble first.
+        bytes
+            .iter()
+            .flat_map(|&b| [table[usize::from(b & 0x0f)], table[usize::from(b >> 4)]])
+            .take(len)
+            .collect()
+    } else {
+        bytes.iter().map(|&b| table[usize::from(b)]).collect()
     }
 }
 
@@ -296,6 +350,24 @@ impl ActCodes {
     }
 }
 
+/// `y.round() as i16` for every `y`, NaN and infinities included, in a
+/// form the compiler keeps in vector lanes.
+///
+/// The saturating `as i16` cast makes a vectorised quantize loop fall
+/// back to one scalar conversion per element. Here NaN maps to 0 and
+/// the clamp saturates, as the cast does; the rounded value, an integer
+/// of magnitude at most 2¹⁵, then sits exactly in the low mantissa bits
+/// of `r + 1.5·2²³`, whose bit pattern minus that of `1.5·2²³` is `r`.
+pub fn round_code(y: f32) -> i16 {
+    const MAGIC: f32 = 12_582_912.0; // 1.5 · 2²³
+    let y = if y.is_nan() {
+        0.0
+    } else {
+        y.clamp(-32768.0, 32767.0)
+    };
+    (y.round() + MAGIC).to_bits().wrapping_sub(MAGIC.to_bits()) as i16
+}
+
 /// Computes integer activation codes for the policies with a
 /// single-scale activation grid, mirroring `LayerQuant::quantize_acts`.
 ///
@@ -330,7 +402,7 @@ pub fn act_codes(
             let codes = x
                 .as_slice()
                 .iter()
-                .map(|&v| (v.clamp(0.0, a) / a * steps).round() as i16)
+                .map(|&v| round_code(v.clamp(0.0, a) / a * steps))
                 .collect();
             Some(ActCodes {
                 codes,
@@ -357,7 +429,7 @@ pub fn act_codes(
                 let s = qmax as f32;
                 x.as_slice()
                     .iter()
-                    .map(|&v| ((v / a).clamp(-1.0, 1.0) * s).round() as i16)
+                    .map(|&v| round_code((v / a).clamp(-1.0, 1.0) * s))
                     .collect()
             };
             Some(ActCodes {

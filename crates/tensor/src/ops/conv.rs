@@ -114,12 +114,18 @@ pub fn im2col(input: &Tensor, geom: Conv2dGeometry) -> Result<Tensor> {
 /// Fills one `[N·OH·OW]` row of the patch matrix: kernel element
 /// `(row % kw, (row / kw) % kh)` of channel `row / (kh·kw)`.
 ///
-/// `orow` must arrive zeroed: padding positions are left untouched. The
-/// in-image output rows and columns are computed once per row, so each
-/// (sample, output row) is one contiguous copy at stride 1 and one
-/// strided gather at larger strides. Shared by the f32 [`im2col`] and the
-/// integer-code [`int_im2col`](crate::ops::int_im2col).
-pub(crate) fn im2col_row<T: Copy>(
+/// Every element of `orow` is written, padding positions with
+/// `T::default()` (zero), so the row may arrive holding anything: a
+/// reused buffer needs no clearing. The in-image output rows and
+/// columns are computed once per row. At stride 1 with `ow == w` (a
+/// "same" convolution, and every 1×1 one) output row `y` reads input
+/// row `y + ki − p` at a fixed column offset, so a sample's in-image
+/// rows are one contiguous run of its input plane: one copy, then the
+/// few padding columns inside the run are zeroed. Otherwise each
+/// in-image output row is one strided gather plus its padding columns.
+/// Shared by the f32 [`im2col`] and the integer-code
+/// [`int_im2col`](crate::ops::int_im2col).
+pub(crate) fn im2col_row<T: Copy + Default>(
     iv: &[T],
     orow: &mut [T],
     row: usize,
@@ -131,23 +137,44 @@ pub(crate) fn im2col_row<T: Copy>(
     let ci = row / (kh * kw);
     let ki = (row / kw) % kh;
     let kj = row % kw;
+    debug_assert_eq!(orow.len(), n * oh * ow);
     let ys = in_image(oh, h, ki, s, p);
     let xs = in_image(ow, w, kj, s, p);
-    if xs.is_empty() {
-        return; // every column reads padding, and `x0` may lie past `w`
+    if xs.is_empty() || ys.is_empty() {
+        // Every position reads padding, and `x0` or `y0` below may lie
+        // past the input.
+        orow.fill(T::default());
+        return;
     }
-    // First input column read; `xs.start·s + kj ≥ p` by construction.
-    let x0 = xs.start * s + kj - p;
-    for ni in 0..n {
-        let in_base = (ni * c + ci) * h * w;
-        for ohi in ys.clone() {
-            let src = &iv[in_base + (ohi * s + ki - p) * w + x0..];
-            let col_base = (ni * oh + ohi) * ow;
-            let dst = &mut orow[col_base + xs.start..col_base + xs.end];
-            if s == 1 {
-                dst.copy_from_slice(&src[..dst.len()]);
-            } else {
-                for (d, &v) in dst.iter_mut().zip(src.iter().step_by(s)) {
+    // First input row and column read; `ys.start·s + ki ≥ p` and
+    // `xs.start·s + kj ≥ p` by construction.
+    let (y0, x0) = (ys.start * s + ki - p, xs.start * s + kj - p);
+    let (first, last) = (ys.start * ow + xs.start, (ys.end - 1) * ow + xs.end);
+    for (ni, sample) in orow.chunks_exact_mut(oh * ow).enumerate() {
+        let plane = &iv[(ni * c + ci) * h * w..(ni * c + ci + 1) * h * w];
+        if s == 1 && ow == w {
+            sample[..first].fill(T::default());
+            sample[first..last].copy_from_slice(&plane[y0 * w + x0..][..last - first]);
+            sample[last..].fill(T::default());
+            // Zero what the run copied from outside `xs`: the tail of
+            // each in-image output row and the head of the next.
+            for g in xs.end..ow + xs.start {
+                for y in ys.start..ys.end - 1 {
+                    sample[y * ow + g] = T::default();
+                }
+            }
+        } else {
+            sample[..ys.start * ow].fill(T::default());
+            sample[ys.end * ow..].fill(T::default());
+            let rows = sample[ys.start * ow..ys.end * ow].chunks_exact_mut(ow);
+            for (out_row, y) in rows.zip((y0..).step_by(s)) {
+                let (pad_lo, rest) = out_row.split_at_mut(xs.start);
+                let (dst, pad_hi) = rest.split_at_mut(xs.len());
+                for d in pad_lo.iter_mut().chain(pad_hi) {
+                    *d = T::default();
+                }
+                let src = plane[y * w + x0..(y + 1) * w].iter().step_by(s);
+                for (d, &v) in dst.iter_mut().zip(src) {
                     *d = v;
                 }
             }

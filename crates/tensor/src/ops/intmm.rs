@@ -14,6 +14,20 @@
 //! no threads, and a caller running several inferences at once decides
 //! the thread count alone.
 //!
+//! A packed convolution runs through [`int_conv2d`], which does each
+//! piece of work once per call:
+//!
+//! - the weight codes arrive already decoded (a `PackedWeights` in
+//!   `ccq-quant` unpacks its bytes once, when it is built);
+//! - the patch matrix lives in one [`IntConvScratch`] that the caller
+//!   reuses across layers and calls, and the lowering writes every
+//!   element of it, padding zeros included, so nothing is cleared or
+//!   allocated for it per call;
+//! - one epilogue takes each output channel's `i32` accumulator row
+//!   while it is in cache and writes it into the NCHW output as
+//!   `(acc as f32 * scale) + bias`, so there is no accumulator matrix,
+//!   no separate rescaled matrix and no second layout pass.
+//!
 //! Callers are responsible for the accumulator range: with `k` inner
 //! products of magnitude at most `|a|·|w| ≤ 255·127`, overflow is
 //! impossible for `k` up to ~66 000, far beyond any CCQ layer;
@@ -22,7 +36,7 @@
 
 use crate::ops::conv::im2col_row;
 use crate::ops::Conv2dGeometry;
-use crate::{Result, TensorError};
+use crate::{Result, Tensor, TensorError};
 
 /// Whether `k` products of `a_max · b_max` magnitude fit an `i32`
 /// accumulator. `a_max`/`b_max` are the largest absolute code values the
@@ -74,21 +88,28 @@ pub fn int_matmul(a: &[i8], b: &[i16], m: usize, k: usize, n: usize) -> Result<V
     check_len(a.len(), m * k)?;
     check_len(b.len(), k * n)?;
     let mut out = vec![0i32; m * n];
-    for i in 0..m {
-        let arow = &a[i * k..(i + 1) * k];
-        let orow = &mut out[i * n..(i + 1) * n];
-        for (p, &av) in arow.iter().enumerate() {
-            if av == 0 {
-                continue;
-            }
-            let av = i32::from(av);
-            let brow = &b[p * n..(p + 1) * n];
-            for (o, &bv) in orow.iter_mut().zip(brow.iter()) {
-                *o += av * i32::from(bv);
-            }
+    if n > 0 {
+        for (i, orow) in out.chunks_exact_mut(n).enumerate() {
+            int_matmul_row(&a[i * k..(i + 1) * k], b, orow);
         }
     }
     Ok(out)
+}
+
+/// Adds row `arow · B` of [`int_matmul`] into `orow`: `b` is `[k, n]`
+/// with `k = arow.len()` and `n = orow.len()`.
+fn int_matmul_row(arow: &[i8], b: &[i16], orow: &mut [i32]) {
+    let n = orow.len();
+    for (p, &av) in arow.iter().enumerate() {
+        if av == 0 {
+            continue;
+        }
+        let av = i32::from(av);
+        let brow = &b[p * n..(p + 1) * n];
+        for (o, &bv) in orow.iter_mut().zip(brow.iter()) {
+            *o += av * i32::from(bv);
+        }
+    }
 }
 
 /// `im2col` over integer activation codes: unrolls an NCHW code tensor
@@ -105,15 +126,97 @@ pub fn int_matmul(a: &[i8], b: &[i16], m: usize, k: usize, n: usize) -> Result<V
 /// `n·c·h·w` entries, or [`TensorError::InvalidGeometry`] when the
 /// kernel does not fit the padded input.
 pub fn int_im2col(codes: &[i16], dims: [usize; 4], geom: Conv2dGeometry) -> Result<Vec<i16>> {
+    let mut out = Vec::new();
+    int_im2col_into(codes, dims, geom, &mut out)?;
+    Ok(out)
+}
+
+/// [`int_im2col`] into a reused buffer, which is resized to the patch
+/// matrix and written in full: whatever it held before is overwritten.
+fn int_im2col_into(
+    codes: &[i16],
+    dims: [usize; 4],
+    geom: Conv2dGeometry,
+    out: &mut Vec<i16>,
+) -> Result<(usize, usize)> {
     let [n, c, h, w] = dims;
     check_len(codes.len(), n * c * h * w)?;
     let (oh, ow) = geom.output_hw(h, w)?;
     let rows = c * geom.kernel_h * geom.kernel_w;
     let cols = n * oh * ow;
-    let mut out = vec![0i16; rows * cols];
+    // Only growth is zero-filled; the rows below overwrite the rest.
+    out.resize(rows * cols, 0);
     if cols > 0 {
         for (row, orow) in out.chunks_exact_mut(cols).enumerate() {
             im2col_row(codes, orow, row, geom, (n, c, h, w), (oh, ow));
+        }
+    }
+    Ok((oh, ow))
+}
+
+/// Working memory of [`int_conv2d`]: the patch matrix and one row of
+/// accumulators. One scratch serves convolutions of any geometry in
+/// turn; it grows to the largest layer it has seen and every call
+/// overwrites what it reads, so a caller keeps one and passes it to
+/// every layer.
+#[derive(Debug, Clone, Default)]
+pub struct IntConvScratch {
+    cols: Vec<i16>,
+    acc: Vec<i32>,
+}
+
+/// Integer 2-D convolution of NCHW activation codes `[n, c, h, w]` with
+/// `[out_ch, c·kh·kw]` weight codes, returning the rescaled NCHW output
+/// `[n, out_ch, oh, ow]`.
+///
+/// Equal bit for bit to [`int_im2col`] → [`int_matmul`] → `acc as f32 *
+/// scale` → reorder to NCHW adding `bias[o]` (or `0.0` without a bias,
+/// which turns a `-0.0` product into `+0.0` as that composition does).
+/// The patch matrix lives in `scratch`, and so does one output channel's
+/// accumulator row at a time: the epilogue rescales it into the output
+/// while it is still in cache.
+///
+/// # Errors
+///
+/// Returns [`TensorError::LengthMismatch`] when `codes`, `weights` or
+/// `bias` does not match its declared dimensions, or
+/// [`TensorError::InvalidGeometry`] when the kernel does not fit the
+/// padded input.
+#[allow(clippy::too_many_arguments)]
+pub fn int_conv2d(
+    codes: &[i16],
+    dims: [usize; 4],
+    geom: Conv2dGeometry,
+    weights: &[i8],
+    out_ch: usize,
+    scale: f32,
+    bias: Option<&[f32]>,
+    scratch: &mut IntConvScratch,
+) -> Result<Tensor> {
+    let ckk = dims[1] * geom.kernel_h * geom.kernel_w;
+    check_len(weights.len(), out_ch * ckk)?;
+    if let Some(b) = bias {
+        check_len(b.len(), out_ch)?;
+    }
+    let n = dims[0];
+    let (oh, ow) = int_im2col_into(codes, dims, geom, &mut scratch.cols)?;
+    let plane = oh * ow;
+    let mut out = Tensor::zeros(&[n, out_ch, oh, ow]);
+    if plane == 0 {
+        return Ok(out);
+    }
+    let ov = out.as_mut_slice();
+    let acc = &mut scratch.acc;
+    for oi in 0..out_ch {
+        acc.clear();
+        acc.resize(n * plane, 0);
+        int_matmul_row(&weights[oi * ckk..(oi + 1) * ckk], &scratch.cols, acc);
+        let b = bias.map_or(0.0, |b| b[oi]);
+        for (ni, src) in acc.chunks_exact(plane).enumerate() {
+            let dst = &mut ov[(ni * out_ch + oi) * plane..(ni * out_ch + oi + 1) * plane];
+            for (d, &a) in dst.iter_mut().zip(src) {
+                *d = a as f32 * scale + b;
+            }
         }
     }
     Ok(out)

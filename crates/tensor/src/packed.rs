@@ -37,6 +37,9 @@ pub enum PackError {
         /// Bytes actually present.
         actual: usize,
     },
+    /// A declared tensor shape whose element count does not fit a
+    /// `usize`.
+    ShapeOverflow,
 }
 
 impl fmt::Display for PackError {
@@ -54,6 +57,7 @@ impl fmt::Display for PackError {
             PackError::LengthMismatch { expected, actual } => {
                 write!(f, "packed buffer holds {actual} bytes, expected {expected}")
             }
+            PackError::ShapeOverflow => write!(f, "tensor size overflows usize"),
         }
     }
 }

@@ -1,6 +1,7 @@
 //! The deployment path end-to-end: quantize with CCQ, checkpoint to disk,
-//! reload into a fresh network, validate with true integer arithmetic,
-//! and produce the silicon budget (energy/inference, MAC area).
+//! reload into a fresh network, pack it into a `CCQPACK` artifact and
+//! validate packed integer execution against fake-quant, and produce the
+//! silicon budget (energy/inference, MAC area).
 //!
 //! ```sh
 //! cargo run --release --example deploy_checkpoint
@@ -12,11 +13,11 @@
 use ccq_repro::ccq::{layer_profiles, CcqConfig, CcqRunner, RecoveryMode};
 use ccq_repro::data::{gaussian_blobs, BlobsConfig};
 use ccq_repro::hw::{inference_report, model_size, MacEnergyModel};
+use ccq_repro::infer::{arch, PackedModel};
 use ccq_repro::models::mlp;
 use ccq_repro::nn::checkpoint::Checkpoint;
-use ccq_repro::nn::integer::{int_linear, QuantizedTensor};
 use ccq_repro::nn::train::{evaluate, train_epoch};
-use ccq_repro::nn::{Mode, Sgd};
+use ccq_repro::nn::{Mode, PackedExec, Sgd};
 use ccq_repro::quant::{BitLadder, PolicyKind};
 use ccq_repro::tensor::{rng, Init, Rng64};
 
@@ -70,27 +71,24 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         100.0 * acc.accuracy
     );
 
-    // Validate fake-quant against true integer execution on one layer.
-    let spec = deployed.quant_spec(0);
+    // Pack the reloaded network into a deployable artifact and validate
+    // packed integer execution against the fake-quant forward. Layers
+    // with an integer activation grid run i8×i8→i32 with one f32
+    // rescale; the rest fall back to f32.
     let x = Init::Uniform { lo: 0.0, hi: 1.0 }.sample(&[4, 8], &mut r);
-    let mut max_err = 0.0f32;
-    deployed.visit_quant(&mut |h| {
-        if h.label == "fc0" {
-            let wb = spec.weight_bits.bits().min(8);
-            let qw = QuantizedTensor::from_tensor(&h.weight.value, wb);
-            let qx = QuantizedTensor::from_tensor(&x, wb);
-            // ccq-lint: allow(panic-surface) — example: aborting with context on a shape mismatch is the intended UX
-            let y_int = int_linear(&qx, &qw, None).expect("int path");
-            let wq = h.quant.quantize_weights(&h.weight.value);
-            // Compare against the fake-quant product at the same widths.
-            let y_fake =
-                ccq_repro::tensor::ops::matmul_a_bt(&qx.dequantize(), &wq).expect("fake path"); // ccq-lint: allow(panic-surface) — example: aborting with context on a shape mismatch is the intended UX
-            for (a, b) in y_int.as_slice().iter().zip(y_fake.as_slice()) {
-                max_err = max_err.max((a - b).abs());
-            }
-        }
-    });
-    println!("fake-quant vs integer execution max |Δ| on fc0: {max_err:.2e}");
+    let y_fake = deployed.forward(&x, Mode::Eval)?;
+    let artifact = PackedModel::capture(&mut deployed, &arch::mlp_arch(&[8, 24, 4]))?;
+    let mut packed = PackedModel::from_bytes(&artifact.to_bytes())?.instantiate()?;
+    let y_int = packed.forward_packed(&x, PackedExec::Integer)?;
+    let max_err = y_fake
+        .as_slice()
+        .iter()
+        .zip(y_int.as_slice())
+        .fold(0.0f32, |m, (a, b)| m.max((a - b).abs()));
+    println!(
+        "packed artifact: {} payload bytes; fake-quant vs packed integer max |Δ|: {max_err:.2e}",
+        artifact.payload_bytes()
+    );
 
     // Silicon budget of the deployed assignment.
     let _ = deployed.forward(&x, Mode::Eval)?; // populate MAC counts

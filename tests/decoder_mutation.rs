@@ -2,6 +2,8 @@
 //! panic. Each case takes a valid CCQCKPT, CCQRUNS or CCQPACK buffer and
 //! rewrites one encoded tensor shape in place, leaving every byte after
 //! it as written, so a decoder that misjudged the shape would read on.
+//! `PackedWeights::from_parts`, which rebuilds one packed tensor from
+//! wire parts, refuses the same shapes.
 //!
 //! The shapes are ones whose element count overflows `usize` on a 64-bit
 //! target: rank 4 with every dim 65536 (2⁶⁴, which wraps to 0) and rank 8
@@ -12,8 +14,9 @@ use ccq_infer::{InferError, PackedModel};
 use ccq_models::mlp;
 use ccq_nn::checkpoint::Checkpoint;
 use ccq_nn::NnError;
-use ccq_quant::PolicyKind;
-use ccq_tensor::Tensor;
+use ccq_quant::grid::symmetric_qmax;
+use ccq_quant::{PackedWeights, PolicyKind, WeightGrid};
+use ccq_tensor::{PackError, Tensor};
 
 /// Shapes whose element count does not fit a `usize`.
 const OVERFLOWING: [&[u32]; 2] = [&[65536; 4], &[u32::MAX; 8]];
@@ -99,6 +102,22 @@ fn packed_model_rejects_overflowing_dims() {
         match PackedModel::from_bytes(&splice_shape(&bytes, &SHAPE, dims)) {
             Err(InferError::PackFormat(msg)) => assert!(msg.contains("tensor size"), "{msg}"),
             other => panic!("dims {dims:?}: expected PackFormat, got {other:?}"),
+        }
+    }
+}
+
+#[test]
+fn packed_weights_reject_overflowing_dims() {
+    let grid = WeightGrid {
+        alpha: 1.0,
+        qmax: symmetric_qmax(4),
+    };
+    for dims in OVERFLOWING {
+        let shape = dims.iter().map(|&d| d as usize).collect();
+        // Wrapped to 0 elements, an empty payload would look consistent.
+        match PackedWeights::from_parts(shape, 4, grid, vec![]) {
+            Err(PackError::ShapeOverflow) => {}
+            other => panic!("dims {dims:?}: expected ShapeOverflow, got {other:?}"),
         }
     }
 }

@@ -1,14 +1,15 @@
 //! Cross-crate integration: the deployment path — CCQ quantizes a network,
-//! the result survives a checkpoint round trip, and the max-abs layers
-//! execute identically in true integer arithmetic.
+//! the result survives a checkpoint round trip, and a max-abs layer packed
+//! into a `CCQPACK` artifact computes the same result in true integer
+//! arithmetic.
 
 use ccq_repro::ccq::{CcqConfig, CcqRunner, RecoveryMode};
 use ccq_repro::data::{gaussian_blobs, BlobsConfig};
+use ccq_repro::infer::{arch, PackedModel};
 use ccq_repro::models::mlp;
 use ccq_repro::nn::checkpoint::Checkpoint;
-use ccq_repro::nn::integer::{int_linear, QuantizedTensor};
 use ccq_repro::nn::train::train_epoch;
-use ccq_repro::nn::{Mode, Network, Sgd};
+use ccq_repro::nn::{Mode, Network, PackedExec, Sgd};
 use ccq_repro::quant::{BitLadder, BitWidth, PolicyKind, QuantSpec};
 use ccq_repro::tensor::{rng, Init, Rng64, Tensor};
 
@@ -74,7 +75,8 @@ fn ccq_result_survives_checkpoint_round_trip() {
 #[test]
 fn fake_quant_linear_matches_integer_execution() {
     // A single max-abs quantized linear layer must compute the same result
-    // through the fake-quant f32 path and the integer path.
+    // through the fake-quant f32 path and, once packed, written as a
+    // CCQPACK artifact and read back, through integer execution.
     let mut r = rng(18);
     let w = Init::Normal {
         mean: 0.0,
@@ -83,16 +85,23 @@ fn fake_quant_linear_matches_integer_execution() {
     .sample(&[4, 6], &mut r);
     let x = Init::Uniform { lo: 0.0, hi: 1.0 }.sample(&[3, 6], &mut r);
     for bits in [3u32, 4, 8] {
-        // Integer path.
-        let qx = QuantizedTensor::from_tensor(&x, bits);
-        let qw = QuantizedTensor::from_tensor(&w, bits);
-        let y_int = int_linear(&qx, &qw, None).unwrap();
-        // Fake-quant path through the quant crate's kernels.
-        let spec = QuantSpec::new(PolicyKind::MaxAbs, BitWidth::of(bits), BitWidth::of(bits));
-        let lq = ccq_repro::quant::LayerQuant::new(spec);
-        let wq = lq.quantize_weights(&w);
-        let xq = lq.quantize_acts(&x);
-        let y_fake = ccq_repro::tensor::ops::matmul_a_bt(&xq, &wq).unwrap();
+        let mut net = mlp(&[6, 4], PolicyKind::MaxAbs, 0);
+        net.set_all_quant_specs(QuantSpec::new(
+            PolicyKind::MaxAbs,
+            BitWidth::of(bits),
+            BitWidth::of(bits),
+        ));
+        net.visit_quant(&mut |h| h.weight.value = w.clone());
+        let y_fake = net.forward(&x, Mode::Eval).unwrap();
+        let bytes = PackedModel::capture(&mut net, &arch::mlp_arch(&[6, 4]))
+            .unwrap()
+            .to_bytes();
+        let mut deployed = PackedModel::from_bytes(&bytes)
+            .unwrap()
+            .instantiate()
+            .unwrap();
+        let y_int = deployed.forward_packed(&x, PackedExec::Integer).unwrap();
+        assert_eq!(y_int.shape(), y_fake.shape());
         for (a, b) in y_int.as_slice().iter().zip(y_fake.as_slice()) {
             assert!(
                 (a - b).abs() < 1e-4 * (1.0 + b.abs()),
