@@ -6,7 +6,7 @@
 //! equivalence across engine refactors. Those invariants are easy to
 //! break silently — one `HashMap` in the Hedge update, one
 //! `Instant::now()` in a descent decision, one bare `unwrap()` in the
-//! autosave path, one section tag the reader forgot to match.
+//! autosave path, one golden metric family nothing registers.
 //! This crate makes them machine-checked on every commit:
 //!
 //! | rule | scope | forbids |
@@ -16,9 +16,9 @@
 //! | `no-unsafe` | everywhere | `unsafe` |
 //! | `float-eq` | library code, all crates | `==`/`!=` against a float literal |
 //! | `feature-hygiene` | everywhere | `feature = "…"` strings not declared in the crate's `Cargo.toml` |
-//! | `durability` | [`rules::DURABILITY_PATHS`] + `crates/serve/src/**` | `rename` without a same-function `sync_all`; `File::create` on a final path |
+//! | `durability` | [`rules::DURABILITY_PATHS`] (the codec's durable-file pair) + `crates/serve/src/**` | `rename` without a same-function `sync_all`; `File::create` on a final path |
 //! | `concurrency` | library code outside [`rules::SANCTIONED_POOL_PATHS`] | `ThreadPoolBuilder`, `std::thread::spawn`; `Mutex`/`RwLock` in [`rules::LOCK_FREE_CRATES`] |
-//! | `wire-drift` | cross-file (see [`extract`]) | golden metric families never registered; CCQRUNS/CCQPACK section tags not used by both writer and reader |
+//! | `wire-drift` | cross-file (see [`extract`]) | golden metric families never registered in `metrics.rs` |
 //! | `stale-waiver` | every waiver | waivers that suppress nothing |
 //!
 //! Test code (`tests/`, `#[cfg(test)]` items, `#[test]` fns) is exempt
@@ -111,20 +111,19 @@ pub fn lint_workspace(root: &Path) -> io::Result<Vec<Finding>> {
 
 /// The fixed role map of the cross-file pass: workspace-relative path →
 /// which half of which wire format it holds.
-pub const WIRE_ROLES: [(&str, WireRole); 4] = [
+pub const WIRE_ROLES: [(&str, WireRole); 2] = [
     ("crates/core/src/metrics.rs", WireRole::Metrics),
     (
         "crates/core/tests/golden/metrics.txt",
         WireRole::GoldenMetrics,
     ),
-    ("crates/core/src/run_state.rs", WireRole::RunState),
-    ("crates/infer/src/format.rs", WireRole::PackFormat),
 ];
 
 /// Reads whichever wire-format files exist under `root` and cross-checks
-/// them; formats with a missing half are skipped, so the pass also works
+/// them; a format with a missing half is skipped, so the pass also works
 /// on partial trees (the seeded-drift smoke check in `run_suite.sh`
-/// copies just `run_state.rs` into a scratch root).
+/// copies just `metrics.rs` and the golden `metrics.txt` into a scratch
+/// root).
 fn wire_pass(root: &Path) -> io::Result<Vec<Finding>> {
     let mut owned: Vec<(String, String, WireRole)> = Vec::new();
     for (rel, role) in WIRE_ROLES {

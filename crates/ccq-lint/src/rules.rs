@@ -63,23 +63,10 @@ pub const LOCK_FREE_CRATES: [&str; 5] = ["ccq", "ccq-tensor", "ccq-nn", "ccq-qua
 /// threading primitives; everything else goes through them.
 pub const SANCTIONED_POOL_PATHS: [&str; 1] = ["crates/tensor/src/par.rs"];
 
-/// Files holding crash-durable state: checkpoint/run-state writers and
-/// the serve job spool. The `durability` rule family applies here.
-pub const DURABILITY_PATHS: [&str; 3] = [
-    "crates/core/src/run_state.rs",
-    "crates/nn/src/checkpoint.rs",
-    "crates/infer/src/format.rs",
-];
-
-/// The Rust halves of the wire formats cross-checked by
-/// [`crate::extract::check_wire`]. `wire-drift` waivers are only valid
-/// in these files (plus the golden metrics text, which cannot carry
-/// Rust comments).
-pub const WIRE_RS_PATHS: [&str; 3] = [
-    "crates/core/src/metrics.rs",
-    "crates/core/src/run_state.rs",
-    "crates/infer/src/format.rs",
-];
+/// The one writer of crash-durable binary state: the codec's
+/// tmp + fsync + rename pair, used by CCQCKPT, CCQRUNS and CCQPACK. The
+/// `durability` rule family applies here and to the serve job spool.
+pub const DURABILITY_PATHS: [&str; 1] = ["crates/tensor/src/codec.rs"];
 
 /// Static metadata for `--list-rules` / `--explain` and the DESIGN.md
 /// rule table.
@@ -131,7 +118,7 @@ pub const RULES: [RuleInfo; 10] = [
     },
     RuleInfo {
         name: "durability",
-        scope: "run_state.rs, checkpoint.rs, infer/src/format.rs, and crates/serve/src/** (the crash-durable state writers), outside tests",
+        scope: "crates/tensor/src/codec.rs (the durable-file pair behind every binary format) and crates/serve/src/**, outside tests",
         rationale: "a rename not preceded by fsync, or a File::create on the final path, loses acknowledged state on power cut; the only sanctioned pattern is tmp + fsync + rename",
         waiver_policy: "line waiver explaining why the data is already durable (e.g. renaming a file fsynced by its writer)",
     },
@@ -143,9 +130,9 @@ pub const RULES: [RuleInfo; 10] = [
     },
     RuleInfo {
         name: "wire-drift",
-        scope: "cross-file: golden metrics.txt vs metrics.rs registrations, CCQRUNS tags in run_state.rs, CCQPACK tags in infer/src/format.rs (the JSONL event, probe-cache and job-spec records share one field list per record and need no check)",
-        rationale: "a section tag written but never read (or a golden family nothing registers) ships silent data loss that golden re-blessing can hide",
-        waiver_policy: "line waiver in the wire file, standing alone (not mixed with other rules); used for deliberately reserved tags",
+        scope: "cross-file: golden metrics.txt families vs metrics.rs registrations (the JSONL, probe-cache and job-spec records and the CCQRUNS/CCQPACK tags are each declared once for writer and reader and need no check)",
+        rationale: "a golden family nothing registers is a rename that outlived the code, which golden re-blessing can hide",
+        waiver_policy: "never waivable: findings sit in the golden text, which carries no waivers; register the metric or re-bless the golden",
     },
     RuleInfo {
         name: "waiver",
@@ -241,7 +228,7 @@ impl fmt::Display for Finding {
 
 /// What a waiver covers.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum Covers {
+enum Covers {
     /// One line of code.
     Line(u32),
     /// The whole file (`allow-file`, non-library files only).
@@ -250,16 +237,16 @@ pub(crate) enum Covers {
 
 /// A parsed `// ccq-lint: allow(...)` / `allow-file(...)` directive.
 #[derive(Debug)]
-pub(crate) struct Waiver {
-    pub(crate) rules: Vec<String>,
-    pub(crate) covers: Covers,
+struct Waiver {
+    rules: Vec<String>,
+    covers: Covers,
     /// Where the directive itself sits (for stale-waiver reporting).
-    pub(crate) line: u32,
-    pub(crate) col: u32,
+    line: u32,
+    col: u32,
 }
 
 impl Waiver {
-    pub(crate) fn suppresses(&self, rule: &str, line: u32) -> bool {
+    fn suppresses(&self, rule: &str, line: u32) -> bool {
         let here = match self.covers {
             Covers::Line(l) => l == line,
             Covers::File => true,
@@ -302,11 +289,9 @@ pub fn check_file(ctx: &FileCtx<'_>, src: &str) -> Vec<Finding> {
             findings.push(f);
         }
     }
-    // A waiver that suppressed nothing is dead policy. `wire-drift`
-    // waivers are judged by the cross-file pass instead (see
-    // `crate::extract`), which alone knows whether they suppress.
+    // A waiver that suppressed nothing is dead policy.
     for (wi, w) in waivers.iter().enumerate() {
-        if used[wi] || w.rules.iter().any(|r| r == "wire-drift") {
+        if used[wi] {
             continue;
         }
         findings.push(Finding {
@@ -604,9 +589,9 @@ fn fn_scope_ids(toks: &[Tok], code: &[usize]) -> Vec<usize> {
 
 /// Extracts waiver directives from comment tokens. Returns the parsed
 /// waivers plus diagnostics for malformed ones (missing reason, unknown
-/// rule, file-level in library code, wire-drift mixed with other
-/// rules); those diagnostics are not themselves waivable.
-pub(crate) fn collect_waivers(ctx: &FileCtx<'_>, toks: &[Tok]) -> (Vec<Waiver>, Vec<Finding>) {
+/// rule, file-level in library code, naming `wire-drift`); those
+/// diagnostics are not themselves waivable.
+fn collect_waivers(ctx: &FileCtx<'_>, toks: &[Tok]) -> (Vec<Waiver>, Vec<Finding>) {
     let mut waivers = Vec::new();
     let mut findings = Vec::new();
     for (i, t) in toks.iter().enumerate() {
@@ -655,17 +640,8 @@ pub(crate) fn collect_waivers(ctx: &FileCtx<'_>, toks: &[Tok]) -> (Vec<Waiver>, 
             }
         }
         if rules.iter().any(|r| r == "wire-drift") {
-            if rules.len() > 1 {
-                bad("wire-drift waivers must stand alone, not mixed with other rules".into());
-                ok = false;
-            }
-            if !WIRE_RS_PATHS.contains(&ctx.path.as_str()) {
-                bad(format!(
-                    "wire-drift waivers are only valid in the wire-format files ({})",
-                    WIRE_RS_PATHS.join(", ")
-                ));
-                ok = false;
-            }
+            bad("wire-drift findings sit in the golden metrics text and cannot be waived".into());
+            ok = false;
         }
         if file_wide && ctx.kind == FileKind::LibrarySrc {
             bad("file-level waivers are not allowed in library code; waive specific lines".into());
@@ -940,7 +916,7 @@ fn b() { y.expect(\"setup\"); }
     fn durability_file_create_must_target_tmp() {
         let feats = BTreeSet::new();
         let mut ctx = lib_ctx(&feats);
-        ctx.path = "crates/core/src/run_state.rs".into();
+        ctx.path = "crates/tensor/src/codec.rs".into();
         let fire = "fn w() { let f = fs::File::create(path); }";
         let f = check_file(&ctx, fire);
         assert_eq!(f.len(), 1, "{f:#?}");
@@ -982,21 +958,14 @@ fn b() { y.expect(\"setup\"); }
     }
 
     #[test]
-    fn wire_drift_waivers_must_stand_alone_in_wire_files() {
+    fn wire_drift_waivers_are_malformed() {
         let feats = BTreeSet::new();
         let mut ctx = lib_ctx(&feats);
-        ctx.path = "crates/core/src/run_state.rs".into();
-        let mixed = "// ccq-lint: allow(wire-drift, panic-surface) — both\nfn a() {}\n";
-        let f = check_file(&ctx, mixed);
-        assert!(f.iter().any(|x| x.rule == "waiver"), "{f:#?}");
-        // Standing alone in a wire file: parsed, and never reported
-        // stale by the per-file pass (the cross-file pass owns it).
-        let alone = "// ccq-lint: allow(wire-drift) — reserved tag\nfn a() {}\n";
-        assert!(check_file(&ctx, alone).is_empty());
-        // Outside the wire files it is malformed.
-        ctx.path = "crates/core/src/engine.rs".into();
+        ctx.path = "crates/core/src/metrics.rs".into();
+        let alone = "// ccq-lint: allow(wire-drift) — reserved family\nfn a() {}\n";
         let f = check_file(&ctx, alone);
-        assert!(f.iter().any(|x| x.rule == "waiver"), "{f:#?}");
+        assert_eq!(f.len(), 1, "{f:#?}");
+        assert_eq!(f[0].rule, "waiver", "{f:#?}");
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Fixture: the sanctioned durable-write idiom — tmp sibling, fsync,
-//! rename into place. Mirrors `write_atomic_inner` in
-//! `crates/core/src/run_state.rs`.
+//! rename into place. Mirrors `write_atomic` in
+//! `crates/tensor/src/codec.rs`.
 
 use std::fs;
 use std::io::Write;

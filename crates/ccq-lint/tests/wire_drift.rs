@@ -1,7 +1,6 @@
-//! Cross-file wire-drift tests: each hand-paired format lints clean when
-//! its halves agree, fires a two-location diagnostic when they drift, is
-//! waivable at the orphaned site, and flags the waiver itself once it
-//! stops suppressing anything.
+//! Cross-file wire-drift tests: the metrics exposition lints clean when
+//! its halves agree, fires a two-location diagnostic when they drift, and
+//! stays quiet when one half is missing.
 
 use ccq_lint::{check_wire, Finding, WireRole, WireSource};
 use std::fs;
@@ -14,12 +13,9 @@ fn load(name: &str) -> String {
     fs::read_to_string(&path).unwrap()
 }
 
-/// Fixture sources masquerade as the real wire files: wire-drift
-/// waivers are only valid at those paths, exactly as in production.
+/// Fixture sources masquerade as the real wire files.
 const METRICS_RS: &str = "crates/core/src/metrics.rs";
 const GOLDEN_TXT: &str = "crates/core/tests/golden/metrics.txt";
-const RUN_STATE_RS: &str = "crates/core/src/run_state.rs";
-const PACK_FORMAT_RS: &str = "crates/infer/src/format.rs";
 
 fn rules(findings: &[Finding]) -> Vec<&str> {
     findings.iter().map(|f| f.rule).collect()
@@ -91,107 +87,4 @@ fn missing_counterpart_skips_the_format() {
         src: &golden,
     }]);
     assert!(f.is_empty(), "{f:#?}");
-}
-
-#[test]
-fn run_state_tags_used_on_both_sides_are_clean() {
-    let rs = load("run_state_clean.rs");
-    let f = check_wire(&[WireSource {
-        role: WireRole::RunState,
-        path: RUN_STATE_RS,
-        src: &rs,
-    }]);
-    assert!(f.is_empty(), "{f:#?}");
-}
-
-#[test]
-fn tag_pushed_but_never_matched_fires_at_its_definition() {
-    let rs = load("run_state_fire.rs");
-    let f = check_wire(&[WireSource {
-        role: WireRole::RunState,
-        path: RUN_STATE_RS,
-        src: &rs,
-    }]);
-    assert_eq!(rules(&f), ["wire-drift"], "{f:#?}");
-    assert!(f[0].message.contains("CCQRUNS"), "{f:#?}");
-    assert!(f[0].message.contains("TAG_ZERO"), "{f:#?}");
-    assert!(f[0].message.contains("used on 1 side(s)"), "{f:#?}");
-    assert!(f[0].related.is_some(), "{f:#?}");
-}
-
-#[test]
-fn waived_reserved_tag_is_clean() {
-    // `TAG_ZERO` is written but never matched; the standalone waiver
-    // records the intent, and because it suppresses a live finding it
-    // is not stale either.
-    let rs = load("run_state_waived.rs");
-    let f = check_wire(&[WireSource {
-        role: WireRole::RunState,
-        path: RUN_STATE_RS,
-        src: &rs,
-    }]);
-    assert!(f.is_empty(), "{f:#?}");
-}
-
-#[test]
-fn stale_wire_drift_waiver_is_flagged() {
-    let rs = load("run_state_stale.rs");
-    let f = check_wire(&[WireSource {
-        role: WireRole::RunState,
-        path: RUN_STATE_RS,
-        src: &rs,
-    }]);
-    assert_eq!(rules(&f), ["stale-waiver"], "{f:#?}");
-    assert_eq!(f[0].path, RUN_STATE_RS, "{f:#?}");
-    assert!(f[0].message.contains("wire-drift"), "{f:#?}");
-}
-
-#[test]
-fn pack_format_tags_used_on_both_sides_are_clean() {
-    let rs = load("pack_format_clean.rs");
-    let f = check_wire(&[WireSource {
-        role: WireRole::PackFormat,
-        path: PACK_FORMAT_RS,
-        src: &rs,
-    }]);
-    assert!(f.is_empty(), "{f:#?}");
-}
-
-#[test]
-fn pack_tag_written_but_never_expected_fires_at_its_definition() {
-    let rs = load("pack_format_fire.rs");
-    let f = check_wire(&[WireSource {
-        role: WireRole::PackFormat,
-        path: PACK_FORMAT_RS,
-        src: &rs,
-    }]);
-    assert_eq!(rules(&f), ["wire-drift"], "{f:#?}");
-    assert!(f[0].message.contains("CCQPACK"), "{f:#?}");
-    assert!(f[0].message.contains("TAG_STATE"), "{f:#?}");
-    assert!(f[0].message.contains("used on 1 side(s)"), "{f:#?}");
-    assert!(f[0].related.is_some(), "{f:#?}");
-}
-
-#[test]
-fn run_state_and_pack_tags_do_not_cross_pollinate() {
-    // A tag used on both sides of CCQPACK must not count toward a
-    // CCQRUNS tag of the same name, and vice versa: the two formats'
-    // facts are collected in separate pools.
-    let run_state = load("run_state_fire.rs");
-    let pack = load("pack_format_clean.rs");
-    let f = check_wire(&[
-        WireSource {
-            role: WireRole::RunState,
-            path: RUN_STATE_RS,
-            src: &run_state,
-        },
-        WireSource {
-            role: WireRole::PackFormat,
-            path: PACK_FORMAT_RS,
-            src: &pack,
-        },
-    ]);
-    assert_eq!(rules(&f), ["wire-drift"], "{f:#?}");
-    assert_eq!(f[0].path, RUN_STATE_RS, "{f:#?}");
-    assert!(f[0].message.contains("CCQRUNS"), "{f:#?}");
 }

@@ -763,24 +763,22 @@ impl<'a> DescentEngine<'a> {
         let state = self.capture_run_state();
         let mut attempts = 0usize;
         loop {
+            // An injected write failure preempts the write, so it consumes
+            // no directory-fsync fault.
             #[cfg(feature = "fault-inject")]
-            let injected = self.fault.is_some_and(|p| p.take_write_failure());
+            let (fail_write, fail_dir_sync) = self.fault.map_or((false, false), |p| {
+                let fail_write = p.take_write_failure();
+                (fail_write, !fail_write && p.take_dir_sync_failure())
+            });
             #[cfg(not(feature = "fault-inject"))]
-            let injected = false;
-            let result = if injected {
+            let (fail_write, fail_dir_sync) = (false, false);
+            let result = if fail_write {
                 Err(CcqError::CheckpointIo(format!(
                     "injected write failure for {}",
                     path.display()
                 )))
             } else {
-                #[cfg(feature = "fault-inject")]
-                {
-                    state.write_atomic_with_faults(&path, self.fault)
-                }
-                #[cfg(not(feature = "fault-inject"))]
-                {
-                    state.write_atomic(&path)
-                }
+                state.write_atomic(&path, fail_dir_sync)
             };
             match result {
                 Ok(()) => break,

@@ -2,6 +2,7 @@
 
 use ccq_nn::NnError;
 use ccq_quant::QuantError;
+use ccq_tensor::codec::{CodecError, FileError};
 use std::fmt;
 
 /// Errors returned by the CCQ framework.
@@ -87,6 +88,19 @@ impl From<NnError> for CcqError {
             NnError::CheckpointIo(msg) => CcqError::CheckpointIo(msg),
             other => CcqError::Network(other),
         }
+    }
+}
+
+/// The only binary format this crate decodes is CCQRUNS.
+impl From<CodecError> for CcqError {
+    fn from(e: CodecError) -> Self {
+        CcqError::CheckpointIo(format!("malformed run state: {e}"))
+    }
+}
+
+impl From<FileError> for CcqError {
+    fn from(e: FileError) -> Self {
+        CcqError::CheckpointIo(e.to_string())
     }
 }
 

@@ -5,22 +5,20 @@
 //! own mutable state — Hedge weights π, the RNG stream, SGD momentum, the
 //! LR schedule, step/epoch counters, the recovery baseline, and the
 //! learning curve so far. The on-disk format mirrors the checkpoint's
-//! self-contained little-endian layout under its own magic (`CCQRUNS`).
+//! self-contained little-endian layout under its own magic (`CCQRUNS`),
+//! read and written through [`ccq_tensor::codec`].
 //!
-//! Writes are atomic: the state is written to a temporary file, fsynced,
-//! and renamed over the destination, with the previous generation
-//! retained as `<path>.prev`. [`RunState::load_with_fallback`] falls back
-//! to the previous generation when the current file is torn or corrupt,
-//! so a crash mid-write never loses the run.
+//! Writes are atomic ([`codec::write_atomic`]), with the previous
+//! generation retained as `<path>.prev`. [`RunState::load_with_fallback`]
+//! falls back to the previous generation when the current file is torn or
+//! corrupt, so a crash mid-write never loses the run.
 
 use crate::event::{StepRecord, TraceEvent, TracePoint};
 use crate::searcher::SearcherState;
-use crate::{CcqError, ExpertKind, Result};
+use crate::{ExpertKind, Result};
 use ccq_nn::checkpoint::Checkpoint;
-use ccq_quant::BitWidth;
-use ccq_tensor::Tensor;
-use std::fs;
-use std::io::Write;
+use ccq_tensor::codec::{self, put_blob, CodecError, Decode, Decoded, Encode, Reader};
+use ccq_tensor::{wire_enum, Tensor};
 use std::path::Path;
 
 const MAGIC: &[u8; 7] = b"CCQRUNS";
@@ -29,17 +27,33 @@ const MAGIC: &[u8; 7] = b"CCQRUNS";
 /// the rollback counter; v1 files still load, mapping π to Hedge state.
 const VERSION: u8 = 2;
 
-/// Tags of the searcher-state section (v2+).
-const TAG_HEDGE: u8 = 0;
-const TAG_ZERO_BIT: u8 = 1;
-const TAG_RELEQ: u8 = 2;
-const TAG_ONE_SHOT: u8 = 3;
+// The searcher-state section (v2+): one tag byte, then the variant's
+// fields in the order listed.
+wire_enum! { SearcherState "searcher" {
+    Hedge = 0 { pi }
+    ZeroBit = 1 { pi }
+    ReleqRl = 2 { theta, baseline, updates }
+    OneShot = 3 { order, sensitivities }
+} }
+
+wire_enum! { TraceEvent "trace event" {
+    Baseline = 0 {}
+    InitQuantize = 1 {}
+    QuantStep = 2 { layer, to_bits }
+    Recovery = 3 {}
+} }
+
+wire_enum! { ExpertKind "expert kind" {
+    Layer = 0 {}
+    Weights = 1 {}
+    Activations = 2 {}
+} }
 
 /// A serializable snapshot of an in-flight CCQ run at a step boundary.
 ///
 /// The first block of fields fingerprints the configuration; resume
 /// refuses to continue under a different config
-/// ([`CcqError::ResumeMismatch`]). The rest is the mutable descent state.
+/// ([`crate::CcqError::ResumeMismatch`]). The rest is the mutable descent state.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RunState {
     /// Master seed of the run.
@@ -88,122 +102,10 @@ pub struct RunState {
 impl RunState {
     /// Serializes to the binary run-state format.
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::new();
-        out.extend_from_slice(MAGIC);
-        out.push(VERSION);
-        w_u64(&mut out, self.seed);
-        w_f32(&mut out, self.gamma);
-        w_u32(&mut out, self.ladder.len() as u32);
-        for &b in &self.ladder {
-            w_u32(&mut out, b);
-        }
-        out.push(self.granularity_code);
-        out.push(self.regime_code);
-        match &self.targets {
-            None => out.push(0),
-            Some(t) => {
-                out.push(1);
-                w_u32(&mut out, t.len() as u32);
-                for &b in t {
-                    w_u32(&mut out, b);
-                }
-            }
-        }
-        w_u64(&mut out, self.next_step as u64);
-        w_u64(&mut out, self.epoch as u64);
-        w_f32(&mut out, self.baseline_accuracy);
-        w_f32(&mut out, self.last_accuracy);
-        w_f32(&mut out, self.lr);
-        w_f32(&mut out, self.base_lr);
-        for &s in &self.rng {
-            w_u64(&mut out, s);
-        }
-        w_f32(&mut out, self.plateau.0);
-        w_u64(&mut out, self.plateau.1 as u64);
-        match self.plateau.2 {
-            None => out.push(0),
-            Some(k) => {
-                out.push(1);
-                w_u64(&mut out, k as u64);
-            }
-        }
-        match &self.searcher {
-            SearcherState::Hedge { pi } => {
-                out.push(TAG_HEDGE);
-                w_f32_list(&mut out, pi);
-            }
-            SearcherState::ZeroBit { pi } => {
-                out.push(TAG_ZERO_BIT);
-                w_f32_list(&mut out, pi);
-            }
-            SearcherState::ReleqRl {
-                theta,
-                baseline,
-                updates,
-            } => {
-                out.push(TAG_RELEQ);
-                w_f32_list(&mut out, theta);
-                w_f32(&mut out, *baseline);
-                w_u64(&mut out, *updates);
-            }
-            SearcherState::OneShot {
-                order,
-                sensitivities,
-            } => {
-                out.push(TAG_ONE_SHOT);
-                w_u32(&mut out, order.len() as u32);
-                for &s in order {
-                    w_u32(&mut out, s as u32);
-                }
-                w_f32_list(&mut out, sensitivities);
-            }
-        }
-        w_u64(&mut out, self.rollbacks);
-        w_u32(&mut out, self.velocities.len() as u32);
-        for t in &self.velocities {
-            w_u32(&mut out, t.rank() as u32);
-            for &d in t.shape() {
-                w_u32(&mut out, d as u32);
-            }
-            for &v in t.as_slice() {
-                w_f32(&mut out, v);
-            }
-        }
-        let ckpt = self.ckpt.to_bytes();
-        w_u32(&mut out, ckpt.len() as u32);
-        out.extend_from_slice(&ckpt);
-        w_u32(&mut out, self.trace.len() as u32);
-        for p in &self.trace {
-            w_u64(&mut out, p.epoch as u64);
-            w_f32(&mut out, p.val_accuracy);
-            w_f32(&mut out, p.lr);
-            match p.event {
-                TraceEvent::Baseline => out.push(0),
-                TraceEvent::InitQuantize => out.push(1),
-                TraceEvent::QuantStep { layer, to_bits } => {
-                    out.push(2);
-                    w_u32(&mut out, layer as u32);
-                    w_u32(&mut out, to_bits.bits());
-                }
-                TraceEvent::Recovery => out.push(3),
-            }
-        }
-        w_u32(&mut out, self.steps.len() as u32);
-        for s in &self.steps {
-            w_u64(&mut out, s.step as u64);
-            w_u32(&mut out, s.layer as u32);
-            out.push(kind_code(s.kind));
-            w_u32(&mut out, s.label.len() as u32);
-            out.extend_from_slice(s.label.as_bytes());
-            w_u32(&mut out, s.from_bits.bits());
-            w_u32(&mut out, s.to_bits.bits());
-            w_f32(&mut out, s.accuracy_before);
-            w_f32(&mut out, s.accuracy_after_quant);
-            w_f32(&mut out, s.accuracy_after_recovery);
-            w_u64(&mut out, s.recovery_epochs as u64);
-            out.extend_from_slice(&s.compression.to_le_bytes());
-            w_f32(&mut out, s.lambda);
-        }
+        let mut out = self.header_bytes();
+        self.searcher.encode(&mut out);
+        self.rollbacks.encode(&mut out);
+        self.tail_bytes(&mut out);
         out
     }
 
@@ -223,243 +125,86 @@ impl RunState {
             // ccq-lint: allow(panic-surface) — test-fixture API, not a runtime path.
             panic!("v1 fixtures are Hedge-only, got {:?}", self.searcher)
         };
-        let v2 = self.to_bytes();
-        // v2 = header..plateau | tag + π-section + rollbacks | tail.
-        // Rebuild as   header..plateau | π-section | tail   with the
-        // version byte set to 1. The searcher section starts right
-        // after the plateau block, whose length is fixed given the
-        // restart tag, so split the v2 bytes around it.
-        let head_len = self.header_len();
-        let sect_len = 1 + 4 + 4 * pi.len() + 8; // tag + len + f32s + rollbacks
-        let mut out = Vec::new();
-        out.extend_from_slice(&v2[..head_len]);
+        let mut out = self.header_bytes();
         out[7] = 1; // version byte
-        w_u32(&mut out, pi.len() as u32);
-        for &p in pi {
-            w_f32(&mut out, p);
-        }
-        out.extend_from_slice(&v2[head_len + sect_len..]);
+        pi.encode(&mut out);
+        self.tail_bytes(&mut out);
         out
     }
 
-    /// Byte length of the serialized header through the plateau block
-    /// (where the searcher section begins).
-    fn header_len(&self) -> usize {
-        7 + 1 // magic + version
-            + 8 + 4 // seed + gamma
-            + 4 + 4 * self.ladder.len() // ladder
-            + 1 + 1 // granularity + regime
-            + match &self.targets { None => 1, Some(t) => 1 + 4 + 4 * t.len() }
-            + 8 + 8 // next_step + epoch
-            + 4 + 4 + 4 + 4 // accuracies + lrs
-            + 32 // rng
-            + 4 + 8 + match self.plateau.2 { None => 1, Some(_) => 9 }
+    /// Magic, version and every field before the searcher section.
+    fn header_bytes(&self) -> Vec<u8> {
+        let mut out = Vec::new();
+        out.extend_from_slice(MAGIC);
+        out.push(VERSION);
+        self.seed.encode(&mut out);
+        self.gamma.encode(&mut out);
+        self.ladder.encode(&mut out);
+        out.push(self.granularity_code);
+        out.push(self.regime_code);
+        self.targets.encode(&mut out);
+        (self.next_step as u64).encode(&mut out);
+        (self.epoch as u64).encode(&mut out);
+        self.baseline_accuracy.encode(&mut out);
+        self.last_accuracy.encode(&mut out);
+        self.lr.encode(&mut out);
+        self.base_lr.encode(&mut out);
+        for s in &self.rng {
+            s.encode(&mut out);
+        }
+        self.plateau.0.encode(&mut out);
+        (self.plateau.1 as u64).encode(&mut out);
+        self.plateau.2.map(|k| k as u64).encode(&mut out);
+        out
+    }
+
+    /// Every field after the searcher section.
+    fn tail_bytes(&self, out: &mut Vec<u8>) {
+        self.velocities.encode(out);
+        put_blob(out, &self.ckpt.to_bytes());
+        self.trace.encode(out);
+        self.steps.encode(out);
     }
 
     /// Deserializes from the binary run-state format.
     ///
     /// # Errors
     ///
-    /// Returns [`CcqError::CheckpointIo`] on a truncated or malformed
+    /// Returns [`crate::CcqError::CheckpointIo`] on a truncated or malformed
     /// buffer, a bad magic, or an unsupported version.
     pub fn from_bytes(bytes: &[u8]) -> Result<Self> {
-        let cur = &mut &bytes[..];
-        let mut magic = [0u8; 7];
-        r_exact(cur, &mut magic)?;
-        if &magic != MAGIC {
-            return Err(malformed("not a CCQ run state (bad magic)"));
-        }
-        let version = r_u8(cur)?;
-        if !(1..=VERSION).contains(&version) {
-            return Err(malformed(&format!(
-                "unsupported run-state version {version} (this build reads versions 1..={VERSION})"
-            )));
-        }
-        let seed = r_u64(cur)?;
-        let gamma = r_f32(cur)?;
-        let n_rungs = r_u32(cur)? as usize;
-        if n_rungs > 64 {
-            return Err(malformed("implausible ladder length"));
-        }
-        let mut ladder = Vec::with_capacity(n_rungs);
-        for _ in 0..n_rungs {
-            ladder.push(r_u32(cur)?);
-        }
-        let granularity_code = r_u8(cur)?;
-        let regime_code = r_u8(cur)?;
-        let targets = match r_u8(cur)? {
-            0 => None,
-            1 => {
-                let n = r_u32(cur)? as usize;
-                if n > 1 << 20 {
-                    return Err(malformed("implausible target count"));
-                }
-                let mut t = Vec::with_capacity(n);
-                for _ in 0..n {
-                    t.push(r_u32(cur)?);
-                }
-                Some(t)
-            }
-            other => return Err(malformed(&format!("bad targets tag {other}"))),
-        };
-        let next_step = r_u64(cur)? as usize;
-        let epoch = r_u64(cur)? as usize;
-        let baseline_accuracy = r_f32(cur)?;
-        let last_accuracy = r_f32(cur)?;
-        let lr = r_f32(cur)?;
-        let base_lr = r_f32(cur)?;
-        let mut rng = [0u64; 4];
-        for s in &mut rng {
-            *s = r_u64(cur)?;
-        }
-        let plateau_best = r_f32(cur)?;
-        let plateau_since = r_u64(cur)? as usize;
-        let plateau_restart = match r_u8(cur)? {
-            0 => None,
-            1 => Some(r_u64(cur)? as usize),
-            other => return Err(malformed(&format!("bad restart tag {other}"))),
-        };
+        let r = &mut Reader::new(bytes, "run state");
+        let version = r.header(MAGIC, 1..=VERSION)?;
+        let seed = r.u64()?;
+        let gamma = r.f32()?;
+        let ladder = Decode::decode(r)?;
+        let granularity_code = r.u8()?;
+        let regime_code = r.u8()?;
+        let targets = Decode::decode(r)?;
+        let next_step = r.u64()? as usize;
+        let epoch = r.u64()? as usize;
+        let baseline_accuracy = r.f32()?;
+        let last_accuracy = r.f32()?;
+        let lr = r.f32()?;
+        let base_lr = r.f32()?;
+        let rng = [r.u64()?, r.u64()?, r.u64()?, r.u64()?];
+        let plateau = (
+            r.f32()?,
+            r.u64()? as usize,
+            Option::<u64>::decode(r)?.map(|k| k as usize),
+        );
         let (searcher, rollbacks) = if version == 1 {
             // v1 predates the searcher abstraction: a bare π vector, no
             // rollback counter. Only the Hedge searcher existed, so the
             // mapping is lossless and resume stays byte-identical.
-            (
-                SearcherState::Hedge {
-                    pi: r_f32_list(cur)?,
-                },
-                0u64,
-            )
+            let pi = Decode::decode(r)?;
+            (SearcherState::Hedge { pi }, 0)
         } else {
-            let searcher = match r_u8(cur)? {
-                TAG_HEDGE => SearcherState::Hedge {
-                    pi: r_f32_list(cur)?,
-                },
-                TAG_ZERO_BIT => SearcherState::ZeroBit {
-                    pi: r_f32_list(cur)?,
-                },
-                TAG_RELEQ => SearcherState::ReleqRl {
-                    theta: r_f32_list(cur)?,
-                    baseline: r_f32(cur)?,
-                    updates: r_u64(cur)?,
-                },
-                TAG_ONE_SHOT => {
-                    let n = r_u32(cur)? as usize;
-                    if n > 1 << 20 {
-                        return Err(malformed("implausible one-shot order length"));
-                    }
-                    let mut order = Vec::with_capacity(n);
-                    for _ in 0..n {
-                        order.push(r_u32(cur)? as usize);
-                    }
-                    SearcherState::OneShot {
-                        order,
-                        sensitivities: r_f32_list(cur)?,
-                    }
-                }
-                other => return Err(malformed(&format!("bad searcher tag {other}"))),
-            };
-            (searcher, r_u64(cur)?)
+            (SearcherState::decode(r)?, r.u64()?)
         };
-        let n_vel = r_u32(cur)? as usize;
-        if n_vel > 1 << 20 {
-            return Err(malformed("implausible velocity count"));
-        }
-        let mut velocities = Vec::with_capacity(n_vel);
-        for _ in 0..n_vel {
-            let rank = r_u32(cur)? as usize;
-            if rank > 8 {
-                return Err(malformed("implausible tensor rank"));
-            }
-            let mut dims = Vec::with_capacity(rank);
-            for _ in 0..rank {
-                dims.push(r_u32(cur)? as usize);
-            }
-            let numel = dims
-                .iter()
-                .try_fold(1usize, |acc, &d| acc.checked_mul(d))
-                .filter(|&numel| numel <= 1 << 28)
-                .ok_or_else(|| malformed("implausible tensor size"))?;
-            let mut data = Vec::with_capacity(numel);
-            for _ in 0..numel {
-                data.push(r_f32(cur)?);
-            }
-            velocities.push(Tensor::from_vec(data, &dims).map_err(|e| malformed(&e.to_string()))?);
-        }
-        let ckpt_len = r_u32(cur)? as usize;
-        if cur.len() < ckpt_len {
-            return Err(malformed("truncated run state"));
-        }
-        let ckpt = Checkpoint::from_bytes(&cur[..ckpt_len])
-            .map_err(|e| malformed(&format!("embedded checkpoint: {e}")))?;
-        *cur = &cur[ckpt_len..];
-        let n_trace = r_u32(cur)? as usize;
-        if n_trace > 1 << 24 {
-            return Err(malformed("implausible trace length"));
-        }
-        let mut trace = Vec::with_capacity(n_trace);
-        for _ in 0..n_trace {
-            let epoch = r_u64(cur)? as usize;
-            let val_accuracy = r_f32(cur)?;
-            let lr = r_f32(cur)?;
-            let event = match r_u8(cur)? {
-                0 => TraceEvent::Baseline,
-                1 => TraceEvent::InitQuantize,
-                2 => {
-                    let layer = r_u32(cur)? as usize;
-                    let to_bits = bitwidth(r_u32(cur)?)?;
-                    TraceEvent::QuantStep { layer, to_bits }
-                }
-                3 => TraceEvent::Recovery,
-                other => return Err(malformed(&format!("bad trace event tag {other}"))),
-            };
-            trace.push(TracePoint {
-                epoch,
-                val_accuracy,
-                lr,
-                event,
-            });
-        }
-        let n_steps = r_u32(cur)? as usize;
-        if n_steps > 1 << 24 {
-            return Err(malformed("implausible step count"));
-        }
-        let mut steps = Vec::with_capacity(n_steps);
-        for _ in 0..n_steps {
-            let step = r_u64(cur)? as usize;
-            let layer = r_u32(cur)? as usize;
-            let kind = kind_from_code(r_u8(cur)?)?;
-            let label_len = r_u32(cur)? as usize;
-            if cur.len() < label_len || label_len > 1 << 16 {
-                return Err(malformed("truncated run state"));
-            }
-            let label = String::from_utf8(cur[..label_len].to_vec())
-                .map_err(|_| malformed("step label is not UTF-8"))?;
-            *cur = &cur[label_len..];
-            let from_bits = bitwidth(r_u32(cur)?)?;
-            let to_bits = bitwidth(r_u32(cur)?)?;
-            let accuracy_before = r_f32(cur)?;
-            let accuracy_after_quant = r_f32(cur)?;
-            let accuracy_after_recovery = r_f32(cur)?;
-            let recovery_epochs = r_u64(cur)? as usize;
-            let mut c = [0u8; 8];
-            r_exact(cur, &mut c)?;
-            let compression = f64::from_le_bytes(c);
-            let lambda = r_f32(cur)?;
-            steps.push(StepRecord {
-                step,
-                layer,
-                kind,
-                label,
-                from_bits,
-                to_bits,
-                accuracy_before,
-                accuracy_after_quant,
-                accuracy_after_recovery,
-                recovery_epochs,
-                compression,
-                lambda,
-            });
-        }
+        let velocities = Decode::decode(r)?;
+        let ckpt = Checkpoint::from_bytes(r.blob()?)
+            .map_err(|e| CodecError::Invalid(format!("embedded checkpoint: {e}")))?;
         Ok(RunState {
             seed,
             gamma,
@@ -474,79 +219,36 @@ impl RunState {
             lr,
             base_lr,
             rng,
-            plateau: (plateau_best, plateau_since, plateau_restart),
+            plateau,
             searcher,
             rollbacks,
             velocities,
             ckpt,
-            trace,
-            steps,
+            trace: Decode::decode(r)?,
+            steps: Decode::decode(r)?,
         })
     }
 
-    /// Atomically writes the state to `path`: the bytes go to
-    /// `<path>.tmp`, are fsynced, and renamed into place; an existing
-    /// current file is first rotated to `<path>.prev` so the last good
-    /// generation survives a torn write. The parent directory is then
-    /// fsynced so the renames themselves survive power loss.
+    /// Writes the state to `path` through [`codec::write_atomic`],
+    /// rotating an existing current file to `<path>.prev` so the last
+    /// good generation survives a torn write.
+    ///
+    /// `fail_dir_sync` is a fault-injection hook (normally `false`): the
+    /// post-rename directory fsync reports a failure after the rename
+    /// lands, exactly like a real barrier failure.
     ///
     /// # Errors
     ///
-    /// Returns [`CcqError::CheckpointIo`] on any filesystem failure,
+    /// Returns [`crate::CcqError::CheckpointIo`] on any filesystem failure,
     /// including a failed directory fsync (the renamed file is in place
     /// but not yet durable — callers retry the whole write).
-    pub fn write_atomic(&self, path: &Path) -> Result<()> {
-        self.write_atomic_inner(path, false)
-    }
-
-    /// [`RunState::write_atomic`] with a fault plan consulted at the
-    /// post-rename directory-fsync barrier: an injected failure reports
-    /// after the rename lands, exactly like a real barrier failure.
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`RunState::write_atomic`].
-    #[cfg(feature = "fault-inject")]
-    pub fn write_atomic_with_faults(
-        &self,
-        path: &Path,
-        plan: Option<&crate::FaultPlan>,
-    ) -> Result<()> {
-        let inject = plan.is_some_and(|p| p.take_dir_sync_failure());
-        self.write_atomic_inner(path, inject)
-    }
-
-    fn write_atomic_inner(&self, path: &Path, inject_dir_sync_failure: bool) -> Result<()> {
-        let io = |e: std::io::Error, what: &str| {
-            CcqError::CheckpointIo(format!("{what} {}: {e}", path.display()))
-        };
-        let tmp = sibling(path, ".tmp");
-        let prev = sibling(path, ".prev");
-        let mut f = fs::File::create(&tmp).map_err(|e| io(e, "create tmp for"))?;
-        f.write_all(&self.to_bytes())
-            .map_err(|e| io(e, "write tmp for"))?;
-        f.sync_all().map_err(|e| io(e, "fsync tmp for"))?;
-        drop(f);
-        if path.exists() {
-            fs::rename(path, &prev).map_err(|e| io(e, "rotate previous for"))?;
-        }
-        fs::rename(&tmp, path).map_err(|e| io(e, "rename into"))?;
-        if inject_dir_sync_failure {
-            return Err(CcqError::CheckpointIo(format!(
-                "injected directory fsync failure for {}",
-                path.display()
-            )));
-        }
-        // Durability of the renames themselves: a rename that only lives
-        // in the directory's page cache is lost on power failure. Opening
-        // the directory is skipped silently where unsupported, but a
-        // failed fsync on an opened directory is a real durability error.
-        if let Some(dir) = path.parent() {
-            if let Ok(d) = fs::File::open(dir) {
-                d.sync_all().map_err(|e| io(e, "fsync parent dir of"))?;
-            }
-        }
-        Ok(())
+    pub fn write_atomic(&self, path: &Path, fail_dir_sync: bool) -> Result<()> {
+        Ok(codec::write_atomic(
+            path,
+            &self.to_bytes(),
+            true,
+            fail_dir_sync,
+        )?)
     }
 
     /// Loads the state from `path`, falling back to the retained
@@ -555,191 +257,92 @@ impl RunState {
     ///
     /// # Errors
     ///
-    /// Returns the current file's [`CcqError::CheckpointIo`] when neither
+    /// Returns the current file's [`crate::CcqError::CheckpointIo`] when neither
     /// generation loads.
     pub fn load_with_fallback(path: &Path) -> Result<Self> {
-        let current = Self::load(path);
-        match current {
-            Ok(s) => Ok(s),
-            Err(primary) => match Self::load(&sibling(path, ".prev")) {
-                Ok(s) => Ok(s),
-                Err(_) => Err(primary),
-            },
-        }
-    }
-
-    /// [`RunState::load_with_fallback`] with a fault plan consulted on
-    /// the read path: an injected read failure surfaces as
-    /// [`CcqError::CheckpointIo`] without touching the file; an injected
-    /// read corruption XORs one mid-file byte in memory before parsing,
-    /// so the format's integrity checks reject the primary generation and
-    /// the loader falls back to `<path>.prev` exactly as with real bit
-    /// rot.
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`RunState::load_with_fallback`], plus the
-    /// injected failures.
-    #[cfg(feature = "fault-inject")]
-    pub fn load_with_fallback_faulted(
-        path: &Path,
-        plan: Option<&crate::FaultPlan>,
-    ) -> Result<Self> {
-        let Some(plan) = plan else {
-            return Self::load_with_fallback(path);
-        };
-        if plan.take_read_failure() {
-            return Err(CcqError::CheckpointIo(format!(
-                "injected read failure for {}",
-                path.display()
-            )));
-        }
-        if plan.take_read_corruption() {
-            return match Self::load_corrupted(path) {
-                Ok(s) => Ok(s),
-                Err(primary) => match Self::load(&sibling(path, ".prev")) {
-                    Ok(s) => Ok(s),
-                    Err(_) => Err(primary),
-                },
-            };
-        }
-        Self::load_with_fallback(path)
-    }
-
-    /// Loads `path` with one mid-file byte flipped in memory — the
-    /// injected-corruption read path.
-    #[cfg(feature = "fault-inject")]
-    fn load_corrupted(path: &Path) -> Result<Self> {
-        let mut bytes = fs::read(path)
-            .map_err(|e| CcqError::CheckpointIo(format!("read {}: {e}", path.display())))?;
-        if !bytes.is_empty() {
-            let mid = bytes.len() / 2;
-            bytes[mid] ^= 0xA5;
-        }
-        Self::from_bytes(&bytes).map_err(|e| {
-            CcqError::CheckpointIo(format!(
-                "injected read corruption for {}: {e}",
-                path.display()
-            ))
-        })
+        codec::load_with_fallback(path, false, Self::from_bytes)
     }
 
     /// Loads the state from exactly `path` (no fallback).
     ///
     /// # Errors
     ///
-    /// Returns [`CcqError::CheckpointIo`] on a read failure or malformed
+    /// Returns [`crate::CcqError::CheckpointIo`] on a read failure or malformed
     /// contents.
     pub fn load(path: &Path) -> Result<Self> {
-        let bytes = fs::read(path)
-            .map_err(|e| CcqError::CheckpointIo(format!("read {}: {e}", path.display())))?;
-        Self::from_bytes(&bytes)
+        Self::from_bytes(&codec::read(path)?)
     }
 }
 
-/// `<path><suffix>` alongside the original file.
-fn sibling(path: &Path, suffix: &str) -> std::path::PathBuf {
-    let mut s = path.as_os_str().to_os_string();
-    s.push(suffix);
-    std::path::PathBuf::from(s)
-}
-
-fn malformed(msg: &str) -> CcqError {
-    CcqError::CheckpointIo(format!("malformed run state: {msg}"))
-}
-
-fn kind_code(k: ExpertKind) -> u8 {
-    match k {
-        ExpertKind::Layer => 0,
-        ExpertKind::Weights => 1,
-        ExpertKind::Activations => 2,
+/// Epoch (`u64`), accuracy, LR, then the tagged event.
+impl Encode for TracePoint {
+    fn encode(&self, out: &mut Vec<u8>) {
+        (self.epoch as u64).encode(out);
+        self.val_accuracy.encode(out);
+        self.lr.encode(out);
+        self.event.encode(out);
     }
 }
 
-fn kind_from_code(c: u8) -> Result<ExpertKind> {
-    Ok(match c {
-        0 => ExpertKind::Layer,
-        1 => ExpertKind::Weights,
-        2 => ExpertKind::Activations,
-        other => return Err(malformed(&format!("unknown expert kind {other}"))),
-    })
-}
+impl Decode for TracePoint {
+    const MIN_BYTES: usize = 17;
 
-fn bitwidth(bits: u32) -> Result<BitWidth> {
-    // Zero is a legal stored width: the zero-bit searcher quantizes
-    // layers down to the pruning rung.
-    BitWidth::new_allowing_zero(bits).map_err(|e| malformed(&e.to_string()))
-}
-
-fn w_f32_list(out: &mut Vec<u8>, vals: &[f32]) {
-    w_u32(out, vals.len() as u32);
-    for &v in vals {
-        w_f32(out, v);
+    fn decode(r: &mut Reader<'_>) -> Decoded<Self> {
+        Ok(TracePoint {
+            epoch: r.u64()? as usize,
+            val_accuracy: r.f32()?,
+            lr: r.f32()?,
+            event: TraceEvent::decode(r)?,
+        })
     }
 }
 
-fn r_f32_list(cur: &mut &[u8]) -> Result<Vec<f32>> {
-    let n = r_u32(cur)? as usize;
-    if n > 1 << 20 {
-        return Err(malformed("implausible weight-vector length"));
+/// The fields in declaration order; `step` and `recovery_epochs` are
+/// `u64`.
+impl Encode for StepRecord {
+    fn encode(&self, out: &mut Vec<u8>) {
+        (self.step as u64).encode(out);
+        self.layer.encode(out);
+        self.kind.encode(out);
+        self.label.encode(out);
+        self.from_bits.encode(out);
+        self.to_bits.encode(out);
+        self.accuracy_before.encode(out);
+        self.accuracy_after_quant.encode(out);
+        self.accuracy_after_recovery.encode(out);
+        (self.recovery_epochs as u64).encode(out);
+        self.compression.encode(out);
+        self.lambda.encode(out);
     }
-    let mut vals = Vec::with_capacity(n);
-    for _ in 0..n {
-        vals.push(r_f32(cur)?);
+}
+
+impl Decode for StepRecord {
+    const MIN_BYTES: usize = 57;
+
+    fn decode(r: &mut Reader<'_>) -> Decoded<Self> {
+        Ok(StepRecord {
+            step: r.u64()? as usize,
+            layer: Decode::decode(r)?,
+            kind: Decode::decode(r)?,
+            label: Decode::decode(r)?,
+            from_bits: Decode::decode(r)?,
+            to_bits: Decode::decode(r)?,
+            accuracy_before: r.f32()?,
+            accuracy_after_quant: r.f32()?,
+            accuracy_after_recovery: r.f32()?,
+            recovery_epochs: r.u64()? as usize,
+            compression: r.f64()?,
+            lambda: r.f32()?,
+        })
     }
-    Ok(vals)
-}
-
-fn w_u32(out: &mut Vec<u8>, v: u32) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn w_u64(out: &mut Vec<u8>, v: u64) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn w_f32(out: &mut Vec<u8>, v: f32) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn r_exact(cur: &mut &[u8], buf: &mut [u8]) -> Result<()> {
-    if cur.len() < buf.len() {
-        return Err(malformed("truncated run state"));
-    }
-    buf.copy_from_slice(&cur[..buf.len()]);
-    *cur = &cur[buf.len()..];
-    Ok(())
-}
-
-fn r_u8(cur: &mut &[u8]) -> Result<u8> {
-    let mut b = [0u8; 1];
-    r_exact(cur, &mut b)?;
-    Ok(b[0])
-}
-
-fn r_u32(cur: &mut &[u8]) -> Result<u32> {
-    let mut b = [0u8; 4];
-    r_exact(cur, &mut b)?;
-    Ok(u32::from_le_bytes(b))
-}
-
-fn r_u64(cur: &mut &[u8]) -> Result<u64> {
-    let mut b = [0u8; 8];
-    r_exact(cur, &mut b)?;
-    Ok(u64::from_le_bytes(b))
-}
-
-fn r_f32(cur: &mut &[u8]) -> Result<f32> {
-    let mut b = [0u8; 4];
-    r_exact(cur, &mut b)?;
-    Ok(f32::from_le_bytes(b))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::CcqError;
     use ccq_models::mlp;
-    use ccq_quant::PolicyKind;
+    use ccq_quant::{BitWidth, PolicyKind};
 
     fn sample() -> RunState {
         let mut net = mlp(&[4, 8, 2], PolicyKind::Pact, 0);
@@ -893,33 +496,5 @@ mod tests {
             CcqError::CheckpointIo(msg) => assert!(msg.contains("version 99"), "{msg}"),
             other => panic!("expected CheckpointIo, got {other:?}"),
         }
-    }
-
-    #[test]
-    fn atomic_write_retains_previous_generation() {
-        let dir = std::env::temp_dir().join("ccq_run_state_test");
-        let _ = fs::create_dir_all(&dir);
-        let path = dir.join("state.ccqruns");
-        let _ = fs::remove_file(&path);
-        let _ = fs::remove_file(sibling(&path, ".prev"));
-
-        let a = sample();
-        a.write_atomic(&path).unwrap();
-        let mut b = a.clone();
-        b.next_step = 4;
-        b.write_atomic(&path).unwrap();
-
-        assert_eq!(RunState::load(&path).unwrap().next_step, 4);
-        assert_eq!(
-            RunState::load(&sibling(&path, ".prev")).unwrap().next_step,
-            3
-        );
-
-        // Corrupt the current generation: the loader falls back.
-        fs::write(&path, b"torn write").unwrap();
-        assert_eq!(RunState::load_with_fallback(&path).unwrap().next_step, 3);
-
-        let _ = fs::remove_file(&path);
-        let _ = fs::remove_file(sibling(&path, ".prev"));
     }
 }

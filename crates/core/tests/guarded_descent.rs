@@ -14,6 +14,7 @@ use ccq_models::mlp;
 use ccq_nn::train::Batch;
 use ccq_nn::Network;
 use ccq_quant::{BitLadder, PolicyKind};
+use ccq_tensor::codec::prev_path;
 use ccq_tensor::Rng64;
 use std::path::PathBuf;
 
@@ -50,14 +51,8 @@ fn tmp_path(name: &str) -> PathBuf {
     let _ = std::fs::create_dir_all(&dir);
     let path = dir.join(name);
     let _ = std::fs::remove_file(&path);
-    let _ = std::fs::remove_file(with_suffix(&path, ".prev"));
+    let _ = std::fs::remove_file(prev_path(&path));
     path
-}
-
-fn with_suffix(path: &std::path::Path, suffix: &str) -> PathBuf {
-    let mut s = path.as_os_str().to_os_string();
-    s.push(suffix);
-    PathBuf::from(s)
 }
 
 #[test]
@@ -198,7 +193,7 @@ fn last_good_generation_survives_a_torn_current_file() {
         .run_with_sources(&mut net, &mut provider, &val)
         .unwrap();
     let current = RunState::load(&path).unwrap();
-    let prev = RunState::load(&with_suffix(&path, ".prev")).unwrap();
+    let prev = RunState::load(&prev_path(&path)).unwrap();
     assert!(prev.next_step < current.next_step);
 
     // Tear the current file mid-write; the loader falls back to the
@@ -212,4 +207,39 @@ fn last_good_generation_survives_a_torn_current_file() {
     corrupt_byte(&path, 2, 0xFF).unwrap();
     let recovered = RunState::load_with_fallback(&path).unwrap();
     assert_eq!(recovered, prev);
+}
+
+#[test]
+fn injected_read_faults_reach_the_resume_load() {
+    let (mut net, train, val) = setup();
+    let path = tmp_path("read_faults.ccqruns");
+    let mut cfg = fast_config();
+    cfg.autosave = Some(path.clone());
+    let t = train.clone();
+    let mut provider = move |_: &mut Rng64| t.clone();
+    let report = CcqRunner::new(cfg)
+        .run_with_sources(&mut net, &mut provider, &val)
+        .unwrap();
+    let resume = |plan: FaultPlan| {
+        let mut runner = CcqRunner::new(fast_config());
+        runner.inject_faults(plan);
+        let t = train.clone();
+        let mut provider = move |_: &mut Rng64| t.clone();
+        let result = runner.resume_with_sources(&path, &mut setup().0, &mut provider, &val);
+        assert!(runner.fault_plan().unwrap().exhausted());
+        result
+    };
+
+    // A failed read fails the resume without trying the previous
+    // generation.
+    match resume(FaultPlan::new().fail_reads(1)) {
+        Err(CcqError::CheckpointIo(msg)) => assert!(msg.contains("injected"), "{msg}"),
+        other => panic!("expected an injected CheckpointIo, got {other:?}"),
+    }
+    // A corrupted read flips one mid-file byte of the current
+    // generation. Where the byte breaks the structure the load falls
+    // back to `.prev`; where it lands in tensor data it decodes, since
+    // no checksum covers the values. Either way the resume returns.
+    let resumed = resume(FaultPlan::new().corrupt_reads(1)).unwrap();
+    assert_eq!(resumed.bit_pattern(), report.bit_pattern());
 }

@@ -1,6 +1,7 @@
 //! Error type for the packed-inference layer.
 
 use ccq_nn::NnError;
+use ccq_tensor::codec::{CodecError, FileError};
 use std::fmt;
 
 /// Errors surfaced by packing, the `CCQPACK` wire format, and artifact
@@ -41,6 +42,19 @@ impl std::error::Error for InferError {
 impl From<NnError> for InferError {
     fn from(e: NnError) -> Self {
         InferError::Net(e)
+    }
+}
+
+/// The only binary format this crate decodes is CCQPACK.
+impl From<CodecError> for InferError {
+    fn from(e: CodecError) -> Self {
+        InferError::PackFormat(e.to_string())
+    }
+}
+
+impl From<FileError> for InferError {
+    fn from(e: FileError) -> Self {
+        InferError::PackIo(e.to_string())
     }
 }
 

@@ -1,5 +1,6 @@
 //! Error type for network construction and execution.
 
+use ccq_tensor::codec::{CodecError, FileError};
 use ccq_tensor::TensorError;
 use std::fmt;
 
@@ -94,6 +95,19 @@ impl std::error::Error for NnError {
 impl From<TensorError> for NnError {
     fn from(e: TensorError) -> Self {
         NnError::Tensor(e)
+    }
+}
+
+/// The only binary format this crate decodes is CCQCKPT.
+impl From<CodecError> for NnError {
+    fn from(e: CodecError) -> Self {
+        NnError::CheckpointFormat(e.to_string())
+    }
+}
+
+impl From<FileError> for NnError {
+    fn from(e: FileError) -> Self {
+        NnError::CheckpointIo(e.to_string())
     }
 }
 

@@ -53,8 +53,6 @@ mod param;
 pub mod schedule;
 pub mod train;
 
-#[cfg(feature = "fault-inject")]
-pub use checkpoint::CkptFaults;
 pub use error::NnError;
 pub use layer::{Layer, Mode, PackedExec, QuantHandle, StateTag};
 pub use network::{Network, NetworkState, PackOutcome, QuantLayerInfo};

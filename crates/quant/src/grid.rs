@@ -24,6 +24,7 @@
 
 use crate::policies::{aciq, sawb};
 use crate::{BitWidth, PolicyKind};
+use ccq_tensor::codec::numel;
 use ccq_tensor::{PackError, PackedInts, Tensor};
 use std::sync::OnceLock;
 
@@ -194,10 +195,7 @@ impl PackedWeights {
         grid: WeightGrid,
         bytes: Vec<u8>,
     ) -> Result<Self, PackError> {
-        let len = shape
-            .iter()
-            .try_fold(1usize, |n, &d| n.checked_mul(d))
-            .ok_or(PackError::ShapeOverflow)?;
+        let len = numel(&shape).ok_or(PackError::ShapeOverflow)?;
         let codes = PackedInts::from_parts(bytes, len, bits)?;
         Ok(Self {
             shape,

@@ -41,6 +41,7 @@ mod layer;
 pub mod policies;
 mod policy;
 mod stats;
+mod wire;
 
 pub use bits::{BitLadder, BitWidth};
 pub use error::QuantError;

@@ -22,8 +22,8 @@
 
 use crate::error::{io_err, Result, ServeError};
 use crate::spec::JobSpec;
+use ccq_tensor::codec;
 use std::fs;
-use std::io::Write as _;
 use std::path::{Path, PathBuf};
 
 /// The five job states, each backed by a directory under the root.
@@ -288,28 +288,16 @@ impl Spool {
     }
 }
 
-/// Writes `text` to `path` with full crash-safety discipline: temp file
+/// Writes `text` to `path` through [`codec::write_atomic`]: temp file
 /// in the same directory, data fsync, atomic rename over the target,
-/// parent-directory fsync.
+/// parent-directory fsync. No previous generation is kept.
 ///
 /// # Errors
 ///
 /// Returns [`ServeError::Io`] naming the failing step and path.
 pub fn atomic_write_text(path: &Path, text: &str) -> Result<()> {
-    let mut tmp = path.as_os_str().to_os_string();
-    tmp.push(".tmp");
-    let tmp = PathBuf::from(tmp);
-    {
-        let mut f = fs::File::create(&tmp).map_err(|e| io_err("create", &tmp, e))?;
-        f.write_all(text.as_bytes())
-            .map_err(|e| io_err("write", &tmp, e))?;
-        f.sync_all().map_err(|e| io_err("fsync", &tmp, e))?;
-    }
-    fs::rename(&tmp, path).map_err(|e| io_err("rename", &tmp, e))?;
-    if let Some(dir) = path.parent() {
-        sync_dir(dir)?;
-    }
-    Ok(())
+    codec::write_atomic(path, text.as_bytes(), false, false)
+        .map_err(|e| ServeError::Io(e.to_string()))
 }
 
 /// Fsyncs a directory so a preceding rename survives power loss. A
@@ -405,9 +393,7 @@ mod tests {
         atomic_write_text(&p, "one\n").expect("write");
         atomic_write_text(&p, "two\n").expect("overwrite");
         assert_eq!(fs::read_to_string(&p).expect("read"), "two\n");
-        let mut tmp = p.as_os_str().to_os_string();
-        tmp.push(".tmp");
-        assert!(!PathBuf::from(tmp).exists());
+        assert!(!root.join("f.txt.tmp").exists());
         fs::remove_dir_all(&root).ok();
     }
 }

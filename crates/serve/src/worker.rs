@@ -34,7 +34,7 @@ use ccq::{
 use ccq_infer::PackedModel;
 use ccq_nn::train::train_epoch;
 use ccq_nn::Sgd;
-use ccq_tensor::{rng, Rng64};
+use ccq_tensor::{codec, rng, Rng64};
 use std::fs;
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
@@ -106,13 +106,6 @@ pub fn scan_recovery_points(events_path: &Path) -> Vec<RecoveryPoint> {
     points
 }
 
-/// The `.prev` generation path of a run-state file.
-fn prev_path(state_path: &Path) -> PathBuf {
-    let mut p = state_path.as_os_str().to_os_string();
-    p.push(".prev");
-    PathBuf::from(p)
-}
-
 /// Picks the resume state (see the [module docs](self)) and truncates
 /// the event log to its matching autosave record. Returns `None` — and
 /// leaves truncation to the fresh-start path — when no state generation
@@ -124,7 +117,7 @@ fn prev_path(state_path: &Path) -> PathBuf {
 fn find_recovery(state_path: &Path, events_path: &Path) -> Result<Option<RunState>> {
     let points = scan_recovery_points(events_path);
     let mut candidates: Vec<RunState> = Vec::new();
-    for p in [state_path.to_path_buf(), prev_path(state_path)] {
+    for p in [state_path.to_path_buf(), codec::prev_path(state_path)] {
         if let Ok(s) = RunState::load(&p) {
             candidates.push(s);
         }
@@ -309,7 +302,7 @@ pub fn execute_job_with_control(
         // earlier attempt, then pre-train. Resumed runs skip pre-training
         // entirely — the autosaved state carries the trained weights.
         remove_if_present(&state_path)?;
-        remove_if_present(&prev_path(&state_path))?;
+        remove_if_present(&codec::prev_path(&state_path))?;
         remove_if_present(&events_path)?;
         let mut opt = Sgd::new(spec.pretrain_lr).momentum(spec.pretrain_momentum);
         let mut r = rng(spec.pretrain_seed);
@@ -532,7 +525,8 @@ mod tests {
         // torn before the first autosave. Determinism still reproduces
         // the reference bytes from scratch.
         remove_if_present(&spool.state_path(Dir::Running, "j")).expect("rm state");
-        remove_if_present(&prev_path(&spool.state_path(Dir::Running, "j"))).expect("rm prev");
+        remove_if_present(&codec::prev_path(&spool.state_path(Dir::Running, "j")))
+            .expect("rm prev");
         truncate_file(&events, 5).expect("tear");
         let res = execute_job(&spool, &spec, &|| false, None).expect("restart");
         assert!(!res.resumed);

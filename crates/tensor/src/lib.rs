@@ -18,6 +18,7 @@
 //! # Ok::<(), ccq_tensor::TensorError>(())
 //! ```
 
+pub mod codec;
 mod error;
 mod init;
 pub mod ops;

@@ -15,23 +15,24 @@ cargo run -q -p ccq-lint -- --format json > results/lint.json 2> results/lint.lo
 cargo run -q -p ccq-lint --no-default-features -- --format json > results/lint_serial.json 2>> results/lint.log || exit 1
 cmp results/lint.json results/lint_serial.json || exit 1
 
-# --- seeded-drift smoke: renaming the reader's match arm for one
-# CCQRUNS section tag in a scratch copy of run_state.rs must trip
-# wire-drift (exit nonzero, the orphaned tag named); proves the
-# cross-file pass has teeth, not just a clean bill on HEAD. The JSONL
-# event, probe-cache and job-spec records need no such check: each has
-# one field list that its writer and reader share ---
+# --- seeded-drift smoke: renaming one `# TYPE` family in a scratch
+# copy of the golden metrics exposition must trip wire-drift (exit
+# nonzero, the orphaned family named); proves the cross-file pass has
+# teeth, not just a clean bill on HEAD. The JSONL event, probe-cache and
+# job-spec records and the CCQRUNS/CCQPACK tags need no such check: each
+# is declared once for its writer and reader ---
 DRIFT=results/drift_smoke
 rm -rf "$DRIFT"
-mkdir -p "$DRIFT/crates/core/src"
-cp crates/core/src/run_state.rs "$DRIFT/crates/core/src/"
-sed -i 's/^\( *\)TAG_RELEQ => /\1TAG_RELEQ_RENAMED => /' "$DRIFT/crates/core/src/run_state.rs"
+mkdir -p "$DRIFT/crates/core/src" "$DRIFT/crates/core/tests/golden"
+cp crates/core/src/metrics.rs "$DRIFT/crates/core/src/"
+cp crates/core/tests/golden/metrics.txt "$DRIFT/crates/core/tests/golden/"
+sed -i 's/^# TYPE ccq_events_total /# TYPE ccq_events_renamed_total /' "$DRIFT/crates/core/tests/golden/metrics.txt"
 if cargo run -q -p ccq-lint -- --format json "$DRIFT" > results/drift_smoke.json 2>> results/lint.log; then
   echo "seeded wire drift was NOT detected" >> results/lint.log
   exit 1
 fi
 grep -q '"rule": "wire-drift"' results/drift_smoke.json || exit 1
-grep -q 'TAG_RELEQ ' results/drift_smoke.json || exit 1
+grep -q 'ccq_events_renamed_total' results/drift_smoke.json || exit 1
 rm -rf "$DRIFT"
 
 # --- gates: both feature configurations must pass, lints are errors,
