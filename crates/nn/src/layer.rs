@@ -151,6 +151,18 @@ pub trait Layer: LayerClone + Send + Sync {
         self.forward(x, Mode::Eval)
     }
 
+    /// [`Layer::forward_packed`] on an input the caller no longer needs.
+    /// Layers whose packed forward is elementwise (batch-norm, ReLU)
+    /// overwrite `x` and return it instead of allocating an output; the
+    /// default runs [`Layer::forward_packed`] on it.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`crate::NnError`] on incompatible input shapes.
+    fn forward_packed_owned(&mut self, x: Tensor, exec: PackedExec) -> Result<Tensor> {
+        self.forward_packed(&x, exec)
+    }
+
     /// A short human-readable layer name for diagnostics.
     fn name(&self) -> &str;
 }

@@ -1,6 +1,6 @@
 //! 2-D batch normalization.
 
-use crate::layer::{Layer, Mode, QuantHandle};
+use crate::layer::{Layer, Mode, PackedExec, QuantHandle};
 use crate::{NnError, Param, Result};
 use ccq_tensor::ops::channel_stats;
 use ccq_tensor::{Tensor, TensorError};
@@ -78,6 +78,44 @@ impl BatchNorm2d {
         }
         out
     }
+
+    /// The `Eval`-mode forward on `x` in place, optionally followed by a
+    /// ReLU: every element becomes `(v − mean)·inv_std·γ + β` from the
+    /// running statistics, then `.max(0.0)` when `relu` is set. The
+    /// per-channel constants and the order of operations are those of
+    /// the batch-norm and ReLU layers run one after the other, so the
+    /// result is the same bit for bit.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`NnError::Tensor`] when `x` is not NCHW with this
+    /// layer's channel count.
+    pub(crate) fn eval_in_place(&mut self, x: &mut Tensor, relu: bool) -> Result<()> {
+        self.check(x)?;
+        self.cache = None;
+        let [c, h, w] = [x.shape()[1], x.shape()[2], x.shape()[3]];
+        let plane = h * w;
+        let (gv, bv) = (self.gamma.value.as_slice(), self.beta.value.as_slice());
+        let (mv, vv) = (self.running_mean.as_slice(), self.running_var.as_slice());
+        if plane == 0 {
+            return Ok(());
+        }
+        for (i, chunk) in x.as_mut_slice().chunks_exact_mut(plane).enumerate() {
+            let ci = i % c;
+            let (m, g, b) = (mv[ci], gv[ci], bv[ci]);
+            let is = 1.0 / (vv[ci] + self.eps).sqrt();
+            if relu {
+                for v in chunk {
+                    *v = ((*v - m) * is * g + b).max(0.0);
+                }
+            } else {
+                for v in chunk {
+                    *v = (*v - m) * is * g + b;
+                }
+            }
+        }
+        Ok(())
+    }
 }
 
 impl Layer for BatchNorm2d {
@@ -124,17 +162,16 @@ impl Layer for BatchNorm2d {
                 Ok(out)
             }
             Mode::Eval => {
-                let inv_std: Vec<f32> = self
-                    .running_var
-                    .as_slice()
-                    .iter()
-                    .map(|&v| 1.0 / (v + self.eps).sqrt())
-                    .collect();
-                let mean = self.running_mean.as_slice().to_vec();
-                self.cache = None;
-                Ok(self.normalize(x, &mean, &inv_std))
+                let mut out = x.clone();
+                self.eval_in_place(&mut out, false)?;
+                Ok(out)
             }
         }
+    }
+
+    fn forward_packed_owned(&mut self, mut x: Tensor, _exec: PackedExec) -> Result<Tensor> {
+        self.eval_in_place(&mut x, false)?;
+        Ok(x)
     }
 
     fn backward(&mut self, grad_out: &Tensor) -> Result<Tensor> {

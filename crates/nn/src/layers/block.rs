@@ -144,22 +144,16 @@ impl Layer for BasicBlock {
         }
     }
 
+    /// Each batch-norm (and the ReLU after it) runs in place on the
+    /// tensor its convolution returned, and the shortcut adds into the
+    /// main path: no intermediate beyond the convolution outputs.
     fn forward_packed(&mut self, x: &Tensor, exec: PackedExec) -> Result<Tensor> {
-        let a = self.conv1.forward_packed(x, exec)?;
-        let a = self.bn1.forward_packed(&a, exec)?;
-        let a = self.relu1.forward_packed(&a, exec)?;
-        let b = self.conv2.forward_packed(&a, exec)?;
-        let b = self.bn2.forward_packed(&b, exec)?;
-        let sc = match &mut self.shortcut {
-            Some((conv, bn)) => {
-                let s = conv.forward_packed(x, exec)?;
-                bn.forward_packed(&s, exec)?
-            }
-            None => x.clone(),
-        };
-        let mut sum = b;
-        sum.add_assign(&sc)?;
-        self.relu_out.forward_packed(&sum, exec)
+        let mut a = self.conv1.forward_packed(x, exec)?;
+        self.bn1.eval_in_place(&mut a, true)?;
+        let mut b = self.conv2.forward_packed(&a, exec)?;
+        self.bn2.eval_in_place(&mut b, false)?;
+        add_shortcut(&mut b, x, &mut self.shortcut, exec)?;
+        self.relu_out.forward_packed_owned(b, exec)
     }
 
     fn name(&self) -> &str {
@@ -322,30 +316,40 @@ impl Layer for Bottleneck {
         }
     }
 
+    /// In place after each convolution, as in [`BasicBlock`].
     fn forward_packed(&mut self, x: &Tensor, exec: PackedExec) -> Result<Tensor> {
-        let a = self.conv1.forward_packed(x, exec)?;
-        let a = self.bn1.forward_packed(&a, exec)?;
-        let a = self.relu1.forward_packed(&a, exec)?;
-        let b = self.conv2.forward_packed(&a, exec)?;
-        let b = self.bn2.forward_packed(&b, exec)?;
-        let b = self.relu2.forward_packed(&b, exec)?;
-        let c = self.conv3.forward_packed(&b, exec)?;
-        let c = self.bn3.forward_packed(&c, exec)?;
-        let sc = match &mut self.shortcut {
-            Some((conv, bn)) => {
-                let s = conv.forward_packed(x, exec)?;
-                bn.forward_packed(&s, exec)?
-            }
-            None => x.clone(),
-        };
-        let mut sum = c;
-        sum.add_assign(&sc)?;
-        self.relu_out.forward_packed(&sum, exec)
+        let mut a = self.conv1.forward_packed(x, exec)?;
+        self.bn1.eval_in_place(&mut a, true)?;
+        let mut b = self.conv2.forward_packed(&a, exec)?;
+        self.bn2.eval_in_place(&mut b, true)?;
+        let mut c = self.conv3.forward_packed(&b, exec)?;
+        self.bn3.eval_in_place(&mut c, false)?;
+        add_shortcut(&mut c, x, &mut self.shortcut, exec)?;
+        self.relu_out.forward_packed_owned(c, exec)
     }
 
     fn name(&self) -> &str {
         &self.label
     }
+}
+
+/// Adds the packed shortcut of block input `x` into the main path
+/// `sum`: the projection and its batch-norm when there is one, else `x`.
+fn add_shortcut(
+    sum: &mut Tensor,
+    x: &Tensor,
+    shortcut: &mut Option<(QConv2d, BatchNorm2d)>,
+    exec: PackedExec,
+) -> Result<()> {
+    match shortcut {
+        Some((conv, bn)) => {
+            let mut s = conv.forward_packed(x, exec)?;
+            bn.eval_in_place(&mut s, false)?;
+            sum.add_assign(&s)?;
+        }
+        None => sum.add_assign(x)?,
+    }
+    Ok(())
 }
 
 #[cfg(test)]

@@ -4,7 +4,7 @@ use crate::layer::{Layer, Mode, PackedExec, QuantHandle, StateTag};
 use crate::{NnError, Param, Result};
 use ccq_quant::{LayerQuant, PackedWeights, QuantSpec};
 use ccq_tensor::ops::{
-    col2im, im2col, int_accumulator_safe, int_conv2d, matmul, matmul_a_bt, matmul_at_b,
+    col2im, im2col, int_accumulator_safe, int_conv2d, matmul, matmul_a_bt, matmul_at_b, CodeBounds,
     Conv2dGeometry, IntConvScratch,
 };
 use ccq_tensor::{Init, Rng64, Tensor, TensorError};
@@ -290,18 +290,18 @@ impl Layer for QConv2d {
         // headroom; pruned weights and f32-gridded inputs take the
         // (bit-exact) dequantized path instead.
         let act = if exec == PackedExec::Integer && packed.bits() > 0 {
-            self.quant.act_codes(x)
+            self.quant.act_codes(x).map(|ac| {
+                let bounds = CodeBounds {
+                    act: ac.qmax.unsigned_abs(),
+                    weight: packed.grid().qmax.unsigned_abs(),
+                };
+                (ac, bounds)
+            })
         } else {
             None
         };
         let y = match act {
-            Some(ac)
-                if int_accumulator_safe(
-                    ckk,
-                    ac.qmax.unsigned_abs(),
-                    packed.grid().qmax.unsigned_abs(),
-                ) =>
-            {
+            Some((ac, bounds)) if int_accumulator_safe(ckk, bounds.act, bounds.weight) => {
                 let scale = ac.scale() * packed.grid().scale();
                 let bias = self.bias.as_ref().map(|p| p.value.as_slice());
                 INT_SCRATCH.with_borrow_mut(|scratch| {
@@ -311,6 +311,7 @@ impl Layer for QConv2d {
                         self.geom,
                         packed.codes_i8(),
                         self.out_ch,
+                        bounds,
                         scale,
                         bias,
                         scratch,

@@ -1,6 +1,6 @@
 //! Rectified linear activation.
 
-use crate::layer::{Layer, Mode};
+use crate::layer::{Layer, Mode, PackedExec};
 use crate::{NnError, Param, Result};
 use ccq_tensor::Tensor;
 
@@ -25,6 +25,12 @@ impl Layer for Relu {
             self.mask = None;
         }
         Ok(x.map(|v| v.max(0.0)))
+    }
+
+    fn forward_packed_owned(&mut self, mut x: Tensor, _exec: PackedExec) -> Result<Tensor> {
+        self.mask = None;
+        x.map_in_place(|v| v.max(0.0));
+        Ok(x)
     }
 
     fn backward(&mut self, grad_out: &Tensor) -> Result<Tensor> {

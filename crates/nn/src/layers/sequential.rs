@@ -151,9 +151,13 @@ impl Layer for Sequential {
     }
 
     fn forward_packed(&mut self, x: &Tensor, exec: PackedExec) -> Result<Tensor> {
-        let mut cur = x.clone();
-        for layer in &mut self.layers {
-            cur = layer.forward_packed(&cur, exec)?;
+        let mut layers = self.layers.iter_mut();
+        let mut cur = match layers.next() {
+            Some(first) => first.forward_packed(x, exec)?,
+            None => return Ok(x.clone()),
+        };
+        for layer in layers {
+            cur = layer.forward_packed_owned(cur, exec)?;
         }
         Ok(cur)
     }

@@ -370,7 +370,7 @@ impl Network {
     /// otherwise.
     pub fn forward_packed(&mut self, x: &Tensor, exec: PackedExec) -> Result<Tensor> {
         let (packed_generation, fingerprint) = match &self.packed_at {
-            Some((g, f)) => (*g, f.clone()),
+            Some((g, f)) => (*g, f),
             None => {
                 return Err(NnError::InvalidConfig(
                     "forward_packed before pack_weights".into(),

@@ -6,13 +6,11 @@
 //! carried as `i8`) into an `i32` accumulator; a single f32 rescale at
 //! the layer boundary converts the accumulator back to real units.
 //!
-//! The kernels are intentionally serial and in index order — an integer
-//! sum is associative, but keeping one canonical order means the packed
-//! path needs no thread-count caveats at all. [`int_im2col`] is serial
-//! too, although the f32 [`im2col`](crate::ops::im2col) that shares its
-//! row routine splits rows across threads: a packed forward then spawns
-//! no threads, and a caller running several inferences at once decides
-//! the thread count alone.
+//! The kernels are serial. [`int_im2col`] is serial too, although the
+//! f32 [`im2col`](crate::ops::im2col) that shares its row routine splits
+//! rows across threads: a packed forward then spawns no threads, and a
+//! caller running several inferences at once decides the thread count
+//! alone.
 //!
 //! A packed convolution runs through [`int_conv2d`], which does each
 //! piece of work once per call:
@@ -23,16 +21,35 @@
 //!   reuses across layers and calls, and the lowering writes every
 //!   element of it, padding zeros included, so nothing is cleared or
 //!   allocated for it per call;
+//! - each output channel's nonzero weights are listed once per call, and
+//!   its accumulator row is built from them alone, up to four products
+//!   summed in `i16` lanes before one widening add into the `i32` row
+//!   (see *Exactness* below);
 //! - one epilogue takes each output channel's `i32` accumulator row
 //!   while it is in cache and writes it into the NCHW output as
 //!   `(acc as f32 * scale) + bias`, so there is no accumulator matrix,
 //!   no separate rescaled matrix and no second layout pass.
 //!
-//! Callers are responsible for the accumulator range: with `k` inner
-//! products of magnitude at most `|a|·|w| ≤ 255·127`, overflow is
-//! impossible for `k` up to ~66 000, far beyond any CCQ layer;
-//! [`int_accumulator_safe`] makes the check explicit so layer code can
-//! assert it rather than assume it.
+//! # Exactness
+//!
+//! [`int_conv2d`] equals the plain `i32` product [`int_matmul`] bit for
+//! bit, although it adds its products in another order and partly in
+//! `i16`. Integer addition is associative and commutative, so the order
+//! changes nothing as long as no sum wraps, and none can:
+//!
+//! - the caller states [`CodeBounds`], the largest `|a|` and `|w|` its
+//!   codes take, and the kernel refuses codes outside them;
+//! - a group sum of `G` products lies within `G·|a|max·|w|max`, and
+//!   [`CodeBounds::i16_group`] picks `G` (4, 2 or 1) so that this stays
+//!   within `i16::MAX`: 4 for 8-bit activations and weights of 4 bits or
+//!   fewer, 2 for signed 8-bit activations against 8-bit weights
+//!   (`2·127·127 = 32 258`), 1 for PACT's unsigned 255 against 8-bit
+//!   weights (`255·127 = 32 385`);
+//! - every partial `i32` sum lies within `k·|a|max·|w|max` for `k`
+//!   products, which [`int_accumulator_safe`] bounds by `i32::MAX`: for
+//!   `255·127` that allows `k` up to ~66 000, far beyond any CCQ layer.
+//!   The kernel checks it, and layer code checks it first to choose the
+//!   dequantized path instead.
 
 use crate::ops::conv::im2col_row;
 use crate::ops::Conv2dGeometry;
@@ -45,6 +62,31 @@ use crate::{Result, Tensor, TensorError};
 pub fn int_accumulator_safe(k: usize, a_max: u32, b_max: u32) -> bool {
     let bound = (k as u64) * u64::from(a_max) * u64::from(b_max);
     bound <= i32::MAX as u64
+}
+
+/// The largest magnitudes the codes of an integer product take: `act`
+/// for the activation operand (e.g. `255` for unsigned 8-bit, `127` for
+/// signed 8-bit), `weight` for the weight operand.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct CodeBounds {
+    /// Largest `|code|` of the activation operand.
+    pub act: u32,
+    /// Largest `|code|` of the weight operand.
+    pub weight: u32,
+}
+
+impl CodeBounds {
+    /// How many products [`int_conv2d`] sums in one `i16` lane before
+    /// widening into its `i32` accumulator: the largest of 4, 2 and 1
+    /// whose sum cannot leave `i16` (`G · act · weight ≤ i16::MAX`), or
+    /// 0 when a single product may not fit and each one widens first.
+    pub fn i16_group(self) -> usize {
+        let product = u64::from(self.act) * u64::from(self.weight);
+        [4, 2, 1]
+            .into_iter()
+            .find(|&g| g * product <= i16::MAX as u64)
+            .map_or(0, |g| g as usize)
+    }
 }
 
 /// Integer `A · Bᵀ`: `a` is `[m, k]` row-major activation codes, `b` is
@@ -154,20 +196,95 @@ fn int_im2col_into(
     Ok((oh, ow))
 }
 
-/// Working memory of [`int_conv2d`]: the patch matrix and one row of
-/// accumulators. One scratch serves convolutions of any geometry in
-/// turn; it grows to the largest layer it has seen and every call
-/// overwrites what it reads, so a caller keeps one and passes it to
-/// every layer.
+/// Working memory of [`int_conv2d`]: the patch matrix, one row of
+/// accumulators and the list of nonzero weights. One scratch serves
+/// convolutions of any geometry in turn; it grows to the largest layer
+/// it has seen and every call overwrites what it reads, so a caller
+/// keeps one and passes it to every layer.
 #[derive(Debug, Clone, Default)]
 pub struct IntConvScratch {
     cols: Vec<i16>,
     acc: Vec<i32>,
+    /// Every output channel's nonzero weights as (patch row, code), one
+    /// channel after another; entries past `ends[out_ch]` are stale.
+    taps: Vec<(u32, i16)>,
+    /// Channel `o`'s taps are `taps[ends[o]..ends[o + 1]]`.
+    ends: Vec<usize>,
+}
+
+impl IntConvScratch {
+    /// Lists the nonzero entries of each of the `out_ch` rows of
+    /// `weights`, refusing a code beyond `w_max`. The list is written
+    /// without a branch on the code: every entry is stored, and only a
+    /// nonzero one advances the cursor past itself.
+    fn list_taps(&mut self, weights: &[i8], out_ch: usize, w_max: u32) -> Result<()> {
+        let seen = weights.iter().fold(0u8, |m, &w| m.max(w.unsigned_abs()));
+        check_bound("weight", u32::from(seen), w_max)?;
+        let ckk = weights.len() / out_ch.max(1);
+        if self.taps.len() < weights.len() {
+            self.taps.resize(weights.len(), (0, 0));
+        }
+        self.ends.clear();
+        self.ends.push(0);
+        let mut k = 0;
+        for oi in 0..out_ch {
+            for (p, &w) in weights[oi * ckk..(oi + 1) * ckk].iter().enumerate() {
+                self.taps[k] = (p as u32, i16::from(w));
+                k += usize::from(w != 0);
+            }
+            self.ends.push(k);
+        }
+        Ok(())
+    }
+}
+
+/// Adds `Σ w · cols[p]` over the taps `(p, w)` into `acc`, where row `p`
+/// of `cols` is `cols[p·n..(p+1)·n]` with `n = acc.len()`. Up to `group`
+/// products (see [`CodeBounds::i16_group`]) share one `i16` lane sum.
+fn accumulate_taps(taps: &[(u32, i16)], cols: &[i16], acc: &mut [i32], group: usize) {
+    let n = acc.len();
+    let row = |p: u32| &cols[p as usize * n..(p as usize + 1) * n];
+    let mut rest = taps;
+    if group >= 4 {
+        let mut quads = rest.chunks_exact(4);
+        for q in &mut quads {
+            let [(p0, w0), (p1, w1), (p2, w2), (p3, w3)] = [q[0], q[1], q[2], q[3]];
+            let lanes = row(p0).iter().zip(row(p1)).zip(row(p2)).zip(row(p3));
+            for (o, (((&a, &b), &c), &d)) in acc.iter_mut().zip(lanes) {
+                *o += i32::from(w0 * a + w1 * b + w2 * c + w3 * d);
+            }
+        }
+        rest = quads.remainder();
+    }
+    if group >= 2 {
+        let mut pairs = rest.chunks_exact(2);
+        for q in &mut pairs {
+            let [(p0, w0), (p1, w1)] = [q[0], q[1]];
+            for (o, (&a, &b)) in acc.iter_mut().zip(row(p0).iter().zip(row(p1))) {
+                *o += i32::from(w0 * a + w1 * b);
+            }
+        }
+        rest = pairs.remainder();
+    }
+    for &(p, w) in rest {
+        if group >= 1 {
+            for (o, &a) in acc.iter_mut().zip(row(p)) {
+                *o += i32::from(w * a);
+            }
+        } else {
+            let w = i32::from(w);
+            for (o, &a) in acc.iter_mut().zip(row(p)) {
+                *o += w * i32::from(a);
+            }
+        }
+    }
 }
 
 /// Integer 2-D convolution of NCHW activation codes `[n, c, h, w]` with
 /// `[out_ch, c·kh·kw]` weight codes, returning the rescaled NCHW output
-/// `[n, out_ch, oh, ow]`.
+/// `[n, out_ch, oh, ow]`. `bounds` states the largest `|code|` of each
+/// operand; it picks the `i16` group size (see *Exactness* in the
+/// module docs).
 ///
 /// Equal bit for bit to [`int_im2col`] → [`int_matmul`] → `acc as f32 *
 /// scale` → reorder to NCHW adding `bias[o]` (or `0.0` without a bias,
@@ -179,9 +296,11 @@ pub struct IntConvScratch {
 /// # Errors
 ///
 /// Returns [`TensorError::LengthMismatch`] when `codes`, `weights` or
-/// `bias` does not match its declared dimensions, or
+/// `bias` does not match its declared dimensions,
 /// [`TensorError::InvalidGeometry`] when the kernel does not fit the
-/// padded input.
+/// padded input, or [`TensorError::InvalidArgument`] when a code lies
+/// outside `bounds` or `bounds` admit an `i32` overflow
+/// ([`int_accumulator_safe`]).
 #[allow(clippy::too_many_arguments)]
 pub fn int_conv2d(
     codes: &[i16],
@@ -189,6 +308,7 @@ pub fn int_conv2d(
     geom: Conv2dGeometry,
     weights: &[i8],
     out_ch: usize,
+    bounds: CodeBounds,
     scale: f32,
     bias: Option<&[f32]>,
     scratch: &mut IntConvScratch,
@@ -198,19 +318,34 @@ pub fn int_conv2d(
     if let Some(b) = bias {
         check_len(b.len(), out_ch)?;
     }
+    if !int_accumulator_safe(ckk, bounds.act, bounds.weight) {
+        return Err(TensorError::InvalidArgument(format!(
+            "{ckk} products of |a| <= {} and |w| <= {} may overflow an i32 accumulator",
+            bounds.act, bounds.weight
+        )));
+    }
+    let a_seen = codes.iter().fold(0u16, |m, &c| m.max(c.unsigned_abs()));
+    check_bound("activation", u32::from(a_seen), bounds.act)?;
     let n = dims[0];
     let (oh, ow) = int_im2col_into(codes, dims, geom, &mut scratch.cols)?;
+    scratch.list_taps(weights, out_ch, bounds.weight)?;
     let plane = oh * ow;
     let mut out = Tensor::zeros(&[n, out_ch, oh, ow]);
     if plane == 0 {
         return Ok(out);
     }
     let ov = out.as_mut_slice();
-    let acc = &mut scratch.acc;
+    let group = bounds.i16_group();
+    let IntConvScratch {
+        cols,
+        acc,
+        taps,
+        ends,
+    } = scratch;
     for oi in 0..out_ch {
         acc.clear();
         acc.resize(n * plane, 0);
-        int_matmul_row(&weights[oi * ckk..(oi + 1) * ckk], &scratch.cols, acc);
+        accumulate_taps(&taps[ends[oi]..ends[oi + 1]], cols, acc, group);
         let b = bias.map_or(0.0, |b| b[oi]);
         for (ni, src) in acc.chunks_exact(plane).enumerate() {
             let dst = &mut ov[(ni * out_ch + oi) * plane..(ni * out_ch + oi + 1) * plane];
@@ -220,6 +355,16 @@ pub fn int_conv2d(
         }
     }
     Ok(out)
+}
+
+/// Refuses a `what` code of magnitude `seen` beyond the stated `bound`.
+fn check_bound(what: &str, seen: u32, bound: u32) -> Result<()> {
+    if seen > bound {
+        return Err(TensorError::InvalidArgument(format!(
+            "{what} code magnitude {seen} exceeds its stated bound {bound}"
+        )));
+    }
+    Ok(())
 }
 
 fn check_len(actual: usize, expected: usize) -> Result<()> {
