@@ -214,7 +214,7 @@ fn main() -> ExitCode {
             .unwrap_or(20)
     };
     let batch = if smoke { 2 } else { 8 };
-    let parallel_feature = cfg!(feature = "parallel");
+    let kernel_threads = ccq_tensor::par::num_threads();
     let cpus = std::thread::available_parallelism()
         .map(std::num::NonZeroUsize::get)
         .unwrap_or(1);
@@ -233,7 +233,7 @@ fn main() -> ExitCode {
     let mut json = String::new();
     json.push_str("{\n");
     json.push_str(&format!(
-        "  \"host\": {{ \"cpus\": {cpus}, \"parallel_feature\": {parallel_feature}, \"reps\": {reps}, \"batch\": {batch} }},\n"
+        "  \"host\": {{ \"cpus\": {cpus}, \"kernel_threads\": {kernel_threads}, \"reps\": {reps}, \"batch\": {batch} }},\n"
     ));
     json.push_str(&format!(
         "  \"note\": \"Mixed int8/int4/int2 ladder with one pruned layer and an f32 head. \

@@ -20,7 +20,7 @@ use ccq_nn::train::{evaluate, Batch};
 use ccq_nn::Network;
 use ccq_quant::{BitLadder, PolicyKind};
 use ccq_tensor::ops::matmul;
-use ccq_tensor::par::with_threads;
+use ccq_tensor::par::{num_threads, with_threads};
 use ccq_tensor::{rng, Init, Tensor};
 use std::hint::black_box;
 use std::time::Instant;
@@ -91,7 +91,7 @@ fn main() {
     let cpus = std::thread::available_parallelism()
         .map(std::num::NonZeroUsize::get)
         .unwrap_or(1);
-    let parallel_feature = cfg!(feature = "parallel");
+    let kernel_threads = num_threads();
     let mut entries: Vec<Entry> = Vec::new();
 
     // --- matmul 512x512x512 ---
@@ -183,7 +183,7 @@ fn main() {
     let mut json = String::new();
     json.push_str("{\n");
     json.push_str(&format!(
-        "  \"host\": {{ \"cpus\": {cpus}, \"parallel_feature\": {parallel_feature}, \"reps\": {reps} }},\n"
+        "  \"host\": {{ \"cpus\": {cpus}, \"kernel_threads\": {kernel_threads}, \"reps\": {reps} }},\n"
     ));
     json.push_str(
         "  \"note\": \"All variants are bit-identical (see parallel_identity tests). \

@@ -76,18 +76,18 @@ mod tests {
 name = "ccq-core" # trailing comment
 
 [dependencies]
-rayon = { workspace = true, optional = true }
+wide = { workspace = true, optional = true }
 serde.workspace = true
 
 [features]
-default = ["parallel"]
+default = ["simd"]
 # a comment line
-parallel = ["dep:rayon"]
+simd = ["dep:wide"]
 fault-inject = []
 "#,
         );
         assert_eq!(m.name, "ccq-core");
-        for f in ["default", "parallel", "fault-inject", "rayon"] {
+        for f in ["default", "simd", "fault-inject", "wide"] {
             assert!(m.features.contains(f), "missing {f}");
         }
         assert!(!m.features.contains("serde"));

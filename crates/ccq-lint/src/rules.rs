@@ -55,7 +55,7 @@ pub const PROTECTED_CRATES: [&str; 6] = [
 ];
 
 /// Crates whose library hot paths must stay lock-free: descent state is
-/// partitioned per rayon chunk, never shared behind a lock. The serve
+/// partitioned per `ccq_tensor::par` piece, never shared behind a lock. The serve
 /// daemon (supervisor state) is deliberately not on this list.
 pub const LOCK_FREE_CRATES: [&str; 5] = ["ccq", "ccq-tensor", "ccq-nn", "ccq-quant", "ccq-infer"];
 
@@ -125,7 +125,7 @@ pub const RULES: [RuleInfo; 10] = [
     RuleInfo {
         name: "concurrency",
         scope: "library code outside crates/tensor/src/par.rs, outside tests; the Mutex/RwLock ban covers the lock-free crates (ccq, ccq-tensor, ccq-nn, ccq-quant, ccq-infer)",
-        rationale: "ad-hoc pools and raw std::thread::spawn bypass the deterministic rayon configuration; locks in descent hot paths serialize what chunking already partitions",
+        rationale: "ad-hoc pools and raw std::thread::spawn bypass ccq_tensor::par's deterministic structural split; locks in descent hot paths serialize what chunking already partitions",
         waiver_policy: "line waiver; none in the tree: ccq_tensor::par::with_threads is the one pool constructor",
     },
     RuleInfo {
@@ -447,8 +447,9 @@ fn scan_token(
             {
                 emit(
                     "concurrency",
-                    "`std::thread::spawn` bypasses the sanctioned rayon pool and its deterministic \
-                     chunking; use ccq_tensor::par (scoped threads via `thread::scope` are fine)"
+                    "`std::thread::spawn` bypasses the deterministic chunking of \
+                     ccq_tensor::par; route work through it (scoped threads via `thread::scope` \
+                     are fine)"
                         .into(),
                 )
             }
@@ -932,14 +933,14 @@ fn b() { y.expect(\"setup\"); }
     fn concurrency_bans_pools_locks_and_raw_spawn() {
         let feats = BTreeSet::new();
         let ctx = lib_ctx(&feats);
-        let f = check_file(&ctx, "fn a() { rayon::ThreadPoolBuilder::new(); }");
+        let f = check_file(&ctx, "fn a() { pool::ThreadPoolBuilder::new(); }");
         assert_eq!(f.len(), 1);
         assert_eq!(f[0].rule, "concurrency");
         let f = check_file(&ctx, "fn a() { std::thread::spawn(|| {}); }");
         assert_eq!(f.len(), 1, "{f:#?}");
         let f = check_file(&ctx, "use std::sync::Mutex;");
         assert_eq!(f.len(), 1);
-        // Scoped threads and rayon scope spawns stay legal.
+        // Scoped threads and their spawns stay legal.
         assert!(check_file(
             &ctx,
             "fn a() { std::thread::scope(|s| { s.spawn(|| {}); }); }"
@@ -954,7 +955,7 @@ fn b() { y.expect(\"setup\"); }
         let mut par = ctx.clone();
         par.crate_name = "ccq-tensor";
         par.path = "crates/tensor/src/par.rs".into();
-        assert!(check_file(&par, "fn a() { rayon::ThreadPoolBuilder::new(); }").is_empty());
+        assert!(check_file(&par, "fn a() { pool::ThreadPoolBuilder::new(); }").is_empty());
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Fixture: the concurrency anti-patterns — descent state behind a
 //! lock, an ad-hoc thread pool, and a raw `std::thread::spawn`, all of
-//! which bypass the sanctioned deterministic rayon configuration.
+//! which bypass the deterministic structural split of `ccq_tensor::par`.
 
 use std::sync::Mutex;
 
@@ -9,7 +9,7 @@ pub struct Shared {
 }
 
 pub fn fan_out(shared: &Shared) {
-    let pool = rayon::ThreadPoolBuilder::new().num_threads(4).build();
+    let pool = pool::ThreadPoolBuilder::new().num_threads(4).build();
     std::thread::spawn(|| {});
     let _ = (pool, shared);
 }

@@ -45,7 +45,7 @@ impl MiniSearcher {
         best.map(|(slot, _)| slot)
     }
 
-    #[cfg(feature = "parallel")]
+    #[cfg(feature = "fault-inject")]
     pub fn rounds(&self) -> u64 {
         self.rounds
     }

@@ -14,7 +14,7 @@ fn lint_fixture(name: &str) -> Vec<Finding> {
         .join("tests/fixtures")
         .join(name);
     let src = fs::read_to_string(&path).unwrap();
-    let features: BTreeSet<String> = ["default", "parallel", "fault-inject"]
+    let features: BTreeSet<String> = ["default", "fault-inject"]
         .iter()
         .map(|s| s.to_string())
         .collect();
@@ -126,10 +126,7 @@ fn lint_cache_fixture(name: &str) -> Vec<Finding> {
         .join("tests/fixtures")
         .join(name);
     let src = fs::read_to_string(&path).unwrap();
-    let features: BTreeSet<String> = ["default", "parallel"]
-        .iter()
-        .map(|s| s.to_string())
-        .collect();
+    let features = BTreeSet::new();
     let ctx = FileCtx {
         path: format!("crates/nn/src/{name}"),
         crate_name: "ccq-nn",

@@ -5,7 +5,7 @@ use ccq_nn::cache::ActivationCache;
 use ccq_nn::train::{evaluate, evaluate_from, Batch};
 use ccq_nn::Network;
 use ccq_quant::{BitLadder, BitWidth};
-use ccq_tensor::Rng64;
+use ccq_tensor::{par, Rng64};
 use rand::Rng;
 use std::collections::BTreeMap;
 
@@ -449,87 +449,51 @@ impl Competition {
             .collect()
     }
 
-    #[cfg(not(feature = "parallel"))]
-    pub(crate) fn probe_round(
-        net: &mut Network,
-        experts: &[Expert],
-        val: &[Batch],
-        cache: Option<&ActivationCache>,
-    ) -> Result<Vec<f32>> {
-        Self::probe_round_serial(net, experts, val, cache)
-    }
-
     /// Splits a round's experts over workers, keeping chunk 0 on the
     /// original network and flattening per-chunk losses back into expert
     /// order. With a cache each worker clones only the network *suffix*
     /// from its chunk's first re-entry segment (experts are in layer
     /// order, so that segment covers the whole chunk); without one it
     /// falls back to full-network clones.
-    #[cfg(feature = "parallel")]
     pub(crate) fn probe_round(
         net: &mut Network,
         experts: &[Expert],
         val: &[Batch],
         cache: Option<&ActivationCache>,
     ) -> Result<Vec<f32>> {
-        let threads = rayon::current_num_threads();
+        let threads = par::num_threads();
         if threads <= 1 || experts.len() < 2 {
             return Self::probe_round_serial(net, experts, val, cache);
         }
-        let chunk = experts.len().div_ceil(threads);
-        let chunks: Vec<&[Expert]> = experts.chunks(chunk).collect();
-        let mut results: Vec<Result<Vec<f32>>> = chunks.iter().map(|_| Ok(Vec::new())).collect();
-        let (head, rest) = results.split_at_mut(1);
-        // The calling thread probes chunk 0 pinned to one thread so its
-        // inner evaluation doesn't oversubscribe while workers run.
-        match cache {
-            Some(c) => {
-                let mut tails: Vec<(Network, usize, usize)> = chunks[1..]
-                    .iter()
-                    .map(|ch| {
-                        let seg = c.segment_of(ch[0].layer);
-                        (net.clone_tail(seg), seg, c.quant_layers_before(seg))
-                    })
-                    .collect();
-                rayon::scope(|s| {
-                    for ((chunk_experts, (tail, seg, base)), slot) in chunks[1..]
-                        .iter()
-                        .zip(tails.iter_mut())
-                        .zip(rest.iter_mut())
-                    {
-                        let (seg, base) = (*seg, *base);
-                        s.spawn(move |_| {
-                            *slot = chunk_experts
-                                .iter()
-                                .map(|e| Self::probe_one_from(tail, e, e.layer - base, seg, c, val))
-                                .collect();
-                        });
-                    }
-                    head[0] = ccq_tensor::par::with_threads(1, || {
-                        Self::probe_round_serial(net, chunks[0], val, cache)
-                    });
-                });
-            }
-            None => {
-                let mut clones: Vec<Network> = (1..chunks.len()).map(|_| net.clone()).collect();
-                rayon::scope(|s| {
-                    for ((chunk_experts, clone), slot) in chunks[1..]
-                        .iter()
-                        .zip(clones.iter_mut())
-                        .zip(rest.iter_mut())
-                    {
-                        s.spawn(move |_| {
-                            *slot = Self::probe_round_serial(clone, chunk_experts, val, None)
-                        });
-                    }
-                    head[0] = ccq_tensor::par::with_threads(1, || {
-                        Self::probe_round_serial(net, chunks[0], val, None)
-                    });
-                });
-            }
-        }
+        let chunks = experts.chunks(experts.len().div_ceil(threads));
+        // `(worker, segment, quant layers before it)`; the original
+        // network is the whole-net worker at segment 0.
+        let mut workers: Vec<(Network, usize, usize)> = chunks
+            .clone()
+            .skip(1)
+            .map(|ch| match cache {
+                Some(c) => {
+                    let seg = c.segment_of(ch[0].layer);
+                    (net.clone_tail(seg), seg, c.quant_layers_before(seg))
+                }
+                None => (net.clone(), 0, 0),
+            })
+            .collect();
+        let pieces: Vec<_> = std::iter::once((net, 0, 0))
+            .chain(workers.iter_mut().map(|(w, seg, base)| (w, *seg, *base)))
+            .zip(chunks)
+            .collect();
+        let per_chunk = par::map_pieces(pieces, |_, ((net, seg, base), chunk)| {
+            chunk
+                .iter()
+                .map(|e| match cache {
+                    Some(c) => Self::probe_one_from(net, e, e.layer - base, seg, c, val),
+                    None => Self::probe_one(net, e, val, None),
+                })
+                .collect::<Result<Vec<f32>>>()
+        });
         let mut losses = Vec::with_capacity(experts.len());
-        for r in results {
+        for r in per_chunk {
             losses.extend(r?);
         }
         Ok(losses)

@@ -88,7 +88,7 @@ impl ActivationCache {
         };
         // The recording forwards run serially on the calling thread;
         // pin nested kernels to one thread so they don't each spawn
-        // `current_num_threads()` workers per matmul.
+        // `num_threads()` workers per matmul.
         ccq_tensor::par::with_threads(1, || record(net))?;
         Ok(ActivationCache {
             generation,

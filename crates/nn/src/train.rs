@@ -10,7 +10,6 @@ use rand::seq::SliceRandom;
 /// to cloned networks: below this, the clone + thread hand-off overhead
 /// outweighs the work (small validation sets were measurably *slower*
 /// parallel than serial).
-#[cfg(feature = "parallel")]
 const PAR_MIN_BATCHES_PER_WORKER: usize = 4;
 
 /// One minibatch: stacked inputs plus class labels.
@@ -65,10 +64,10 @@ pub struct EvalResult {
 /// This is the "cheap feed-forward on a small validation set" that CCQ's
 /// competition stage runs for every probe.
 ///
-/// With the `parallel` feature, batches are split into contiguous chunks
-/// evaluated concurrently on cloned network states; per-batch metrics are
-/// then reduced in batch order with one serial `f64` chain, so the result
-/// is bit-identical to the serial path at any thread count.
+/// Batches are split into contiguous chunks evaluated concurrently on
+/// cloned network states; per-batch metrics are then reduced in batch
+/// order with one serial `f64` chain, so the result is bit-identical to
+/// the serial path at any thread count.
 ///
 /// # Errors
 ///
@@ -130,7 +129,7 @@ pub fn evaluate_from(
     };
     // Partial forwards always run serially on the calling thread; pin
     // nested kernels to one thread so each matmul doesn't spawn
-    // `current_num_threads()` workers.
+    // `num_threads()` workers.
     let per_batch = par::with_threads(1, || run(net))?;
     Ok(reduce_metrics(&per_batch, batches))
 }
@@ -146,43 +145,26 @@ fn eval_batches_serial(net: &mut Network, batches: &[Batch]) -> Result<Vec<(f32,
     batches.iter().map(|b| eval_batch(net, b)).collect()
 }
 
-#[cfg(not(feature = "parallel"))]
-fn eval_batches(net: &mut Network, batches: &[Batch]) -> Result<Vec<(f32, f32)>> {
-    eval_batches_serial(net, batches)
-}
-
 /// Splits the batches over worker clones, keeping chunk 0 on the original
 /// network (so its MAC counters warm up exactly as in a serial run) and
 /// flattening per-chunk results in batch order.
-#[cfg(feature = "parallel")]
 fn eval_batches(net: &mut Network, batches: &[Batch]) -> Result<Vec<(f32, f32)>> {
-    let threads = rayon::current_num_threads();
+    let threads = par::num_threads();
     if threads <= 1 || batches.len() < PAR_MIN_BATCHES_PER_WORKER * threads {
         // The fallback must also pin nested kernels to one thread:
-        // running on the calling thread leaves `current_num_threads()`
+        // running on the calling thread leaves `num_threads()`
         // at the installed count, and every large-enough matmul inside
         // the forwards would spawn that many workers per call.
         return par::with_threads(1, || eval_batches_serial(net, batches));
     }
-    let chunk = batches.len().div_ceil(threads);
-    let chunks: Vec<&[Batch]> = batches.chunks(chunk).collect();
+    let chunks = batches.chunks(batches.len().div_ceil(threads));
     let mut clones: Vec<Network> = (1..chunks.len()).map(|_| net.clone()).collect();
-    let mut results: Vec<Result<Vec<(f32, f32)>>> = chunks.iter().map(|_| Ok(Vec::new())).collect();
-    let (head, tail) = results.split_at_mut(1);
-    // The calling thread works chunk 0 pinned to one thread so its
-    // inner tensor kernels don't oversubscribe while workers run.
-    rayon::scope(|s| {
-        for ((chunk_batches, clone), slot) in chunks[1..]
-            .iter()
-            .zip(clones.iter_mut())
-            .zip(tail.iter_mut())
-        {
-            s.spawn(move |_| *slot = eval_batches_serial(clone, chunk_batches));
-        }
-        head[0] = par::with_threads(1, || eval_batches_serial(net, chunks[0]));
-    });
+    let pieces: Vec<_> = std::iter::once(net)
+        .chain(clones.iter_mut())
+        .zip(chunks)
+        .collect();
     let mut per_batch = Vec::with_capacity(batches.len());
-    for r in results {
+    for r in par::map_pieces(pieces, |_, (net, chunk)| eval_batches_serial(net, chunk)) {
         per_batch.extend(r?);
     }
     Ok(per_batch)

@@ -1,11 +1,10 @@
 //! Dense matrix products (row-major, `f32`).
 //!
 //! Every product is computed by a per-row-chunk microkernel that both
-//! the serial and the parallel dispatch paths share. Parallelism (the
-//! `parallel` feature) only partitions the *output rows* into
-//! contiguous chunks; within a chunk the microkernel accumulates each
-//! output element over `k` in strictly ascending order, so the result
-//! is bit-identical at any thread count and with the feature disabled.
+//! the serial and the parallel dispatch paths share. Parallelism only
+//! partitions the *output rows* into contiguous chunks; within a chunk
+//! the microkernel accumulates each output element over `k` in strictly
+//! ascending order, so the result is bit-identical at any thread count.
 //!
 //! The microkernels are register-blocked: `matmul` streams each `B` row
 //! through [`MR`] output rows at once (amortizing the `B` loads that
@@ -255,8 +254,7 @@ fn matmul_packed_dispatch(av: &[f32], pb: &PackedB, out: &mut Tensor, m: usize) 
 /// `C = A · B` for `A: [m, k]`, `B: [k, n]`.
 ///
 /// Row-chunk parallel with a register-blocked microkernel (packed-panel
-/// above `PACK_MIN_FLOPS`); bit-identical
-/// across thread counts and with the `parallel` feature disabled.
+/// above `PACK_MIN_FLOPS`); bit-identical across thread counts.
 ///
 /// # Errors
 ///

@@ -3,9 +3,6 @@
 //! disjoint output regions and never reorder per-element accumulation, so
 //! equality here is exact (`assert_eq!` on the raw `f32` slices), not
 //! approximate.
-//!
-//! Under `--no-default-features` these tests still run and pass trivially
-//! (every path is the serial one), keeping the suite uniform.
 
 use ccq_tensor::ops::{
     col2im, im2col, matmul, matmul_a_bt, matmul_at_b, transpose2d, Conv2dGeometry,

@@ -1,5 +1,5 @@
 #!/bin/bash
-# Gate (tests, serial-build tests, clippy), then regenerate every table
+# Gate (tests, serial-run tests, clippy), then regenerate every table
 # and figure of the paper into results/, plus the parallel bench snapshot.
 set -x
 cd /root/repo
@@ -9,11 +9,8 @@ mkdir -p results
 # invariants (determinism, panic-surface, no-unsafe, float-eq,
 # feature-hygiene, durability, concurrency) plus the cross-file
 # wire-drift and stale-waiver checks; any finding fails the suite
-# (see DESIGN.md §10/§16). The JSON diagnostics are archived and must
-# be byte-identical under both build configurations ---
+# (see DESIGN.md §10/§16). The JSON diagnostics are archived ---
 cargo run -q -p ccq-lint -- --format json > results/lint.json 2> results/lint.log || exit 1
-cargo run -q -p ccq-lint --no-default-features -- --format json > results/lint_serial.json 2>> results/lint.log || exit 1
-cmp results/lint.json results/lint_serial.json || exit 1
 
 # --- seeded-drift smoke: renaming one `# TYPE` family in a scratch
 # copy of the golden metrics exposition must trip wire-drift (exit
@@ -35,27 +32,29 @@ grep -q '"rule": "wire-drift"' results/drift_smoke.json || exit 1
 grep -q 'ccq_events_renamed_total' results/drift_smoke.json || exit 1
 rm -rf "$DRIFT"
 
-# --- gates: both feature configurations must pass, lints are errors,
-# formatting is canonical, rustdoc builds warning-free (the workspace
-# test run includes ccq-lint's own fixture tests; the root package's
-# tests/workspace_clean.rs carries the self-clean test, so tier-1 runs it) ---
+# --- gates: the workspace must pass at the default thread count and
+# serially (RAYON_NUM_THREADS=1) with default features off, lints are
+# errors, formatting is canonical, rustdoc builds warning-free
+# (the workspace test run includes ccq-lint's own fixture tests; the
+# root package's tests/workspace_clean.rs carries the self-clean test,
+# so tier-1 runs it) ---
 cargo test --workspace -q 2> results/test.log || exit 1
-cargo test --workspace -q --no-default-features 2> results/test_serial.log || exit 1
+RAYON_NUM_THREADS=1 cargo test --workspace -q --no-default-features 2> results/test_serial.log || exit 1
 cargo clippy --workspace --all-targets -- -D warnings 2> results/clippy.log || exit 1
 cargo fmt --all --check > results/fmt.log 2>&1 || exit 1
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps 2> results/doc.log || exit 1
 
-# --- fault gates: the injection harness must pass on the serial build
-# too, and interrupted+resumed must equal uninterrupted bit-for-bit ---
-cargo test -q -p ccq --no-default-features --features fault-inject 2> results/test_fault_serial.log || exit 1
-cargo test -q -p ccq --test resume_determinism --test guarded_descent 2> results/test_fault.log || exit 1
+# --- fault gates: interrupted+resumed must equal uninterrupted
+# bit-for-bit (the serial pass above ran them at one thread too) ---
+cargo test -q --test resume_determinism 2> results/test_fault.log || exit 1
+cargo test -q -p ccq --test guarded_descent 2>> results/test_fault.log || exit 1
 
 # --- metrics gate: the golden-trace suite pins the observed run — the
 # JSONL trace, the Prometheus-style exposition, and the ccq-report
-# summary must be byte-identical to the blessed goldens on the parallel
-# AND serial builds (same trajectory, same bytes, any thread count) ---
-cargo test -q -p ccq --test golden_trace 2> results/metrics.log || exit 1
-cargo test -q -p ccq --test golden_trace --no-default-features 2>> results/metrics.log || exit 1
+# summary must be byte-identical to the blessed goldens at the default
+# thread count AND at one thread (same trajectory, same bytes) ---
+cargo test -q --test golden_trace 2> results/metrics.log || exit 1
+RAYON_NUM_THREADS=1 cargo test -q --test golden_trace 2>> results/metrics.log || exit 1
 
 # --- serve gate: crash-safe daemon smoke — drain two jobs in a
 # reference spool, run the identical queue in a second spool whose
@@ -137,17 +136,17 @@ for S in hedge zero-bit releq one-shot; do
     > "results/search_$S.log" 2>&1 || exit 1
 done
 
-# --- bench-smoke gate: the snapshot benchmarks must run at one rep on
-# the serial AND parallel builds, write parseable JSON, incremental
-# probing must never lose to full-forward probing, and packed execution
-# must stay bit-exact with >=2x compression (bench_simd and bench_pack
-# --smoke self-check their snapshots and enforce their floors) ---
-cargo build --release -p ccq-bench --no-default-features 2> results/build_serial.log || exit 1
-CCQ_BENCH_REPS=1 target/release/bench_parallel results/bench_parallel_smoke_serial.json > /dev/null 2> results/bench_smoke_serial.log || exit 1
-test -s results/bench_parallel_smoke_serial.json || exit 1
-target/release/bench_simd --smoke results/bench_simd_smoke_serial.json > /dev/null 2>> results/bench_smoke_serial.log || exit 1
-target/release/bench_pack --smoke results/bench_pack_smoke_serial.json > /dev/null 2>> results/bench_smoke_serial.log || exit 1
+# --- bench-smoke gate: the snapshot benchmarks must run at one rep at
+# one thread AND at the default thread count, write parseable JSON,
+# incremental probing must never lose to full-forward probing, and
+# packed execution must stay bit-exact with >=2x compression (bench_simd
+# and bench_pack --smoke self-check their snapshots and enforce their
+# floors) ---
 cargo build --release -p ccq-bench 2> results/build.log || exit 1
+RAYON_NUM_THREADS=1 CCQ_BENCH_REPS=1 target/release/bench_parallel results/bench_parallel_smoke_serial.json > /dev/null 2> results/bench_smoke_serial.log || exit 1
+test -s results/bench_parallel_smoke_serial.json || exit 1
+RAYON_NUM_THREADS=1 target/release/bench_simd --smoke results/bench_simd_smoke_serial.json > /dev/null 2>> results/bench_smoke_serial.log || exit 1
+RAYON_NUM_THREADS=1 target/release/bench_pack --smoke results/bench_pack_smoke_serial.json > /dev/null 2>> results/bench_smoke_serial.log || exit 1
 CCQ_BENCH_REPS=1 target/release/bench_parallel results/bench_parallel_smoke.json > /dev/null 2> results/bench_smoke.log || exit 1
 test -s results/bench_parallel_smoke.json || exit 1
 target/release/bench_simd --smoke results/bench_simd_smoke.json > /dev/null 2>> results/bench_smoke.log || exit 1

@@ -1,11 +1,11 @@
 //! Observability acceptance gate: a seeded descent observed through a
 //! [`ccq::MetricsSink`] on a [`ccq::ManualClock`] must render a
 //! **byte-identical** Prometheus-style exposition on every run — across
-//! process invocations, sink compositions, and (via PR 1's bit-identical
-//! kernels) thread counts. The blessed files under `tests/golden/`
-//! (`metrics.txt`, `run_summary.txt`) pin the exact bytes; set
-//! `CCQ_BLESS=1` to re-bless after an *intentional* trajectory or
-//! format change. The same gate proves replay fidelity: parsing the
+//! process invocations, sink compositions, and (the kernels being
+//! bit-identical) thread counts. The blessed files under
+//! `crates/core/tests/golden/` (`metrics.txt`, `run_summary.txt`) pin
+//! the exact bytes; set `CCQ_BLESS=1` to re-bless after an *intentional*
+//! trajectory or format change. The same gate proves replay fidelity: parsing the
 //! JSONL trace back and re-feeding it into a fresh sink reproduces the
 //! live exposition exactly, so `ccq-report --metrics` is equivalent to
 //! live observation.
@@ -82,7 +82,7 @@ fn observed_run() -> (String, String) {
 }
 
 fn golden_dir() -> PathBuf {
-    Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden")
+    Path::new(env!("CARGO_MANIFEST_DIR")).join("crates/core/tests/golden")
 }
 
 /// Compares rendered bytes against their blessed golden file, or
