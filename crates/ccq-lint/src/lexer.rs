@@ -62,12 +62,6 @@ impl Tok {
     pub fn is_float(&self) -> bool {
         matches!(self.kind, TokKind::Number { float: true })
     }
-
-    /// Whether this token is a string literal (its `text` holds the
-    /// unquoted content, escapes unresolved — see [`crate::extract`]).
-    pub fn is_str(&self) -> bool {
-        self.kind == TokKind::Str
-    }
 }
 
 struct Cursor<'a> {

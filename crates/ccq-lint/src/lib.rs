@@ -6,7 +6,7 @@
 //! equivalence across engine refactors. Those invariants are easy to
 //! break silently — one `HashMap` in the Hedge update, one
 //! `Instant::now()` in a descent decision, one bare `unwrap()` in the
-//! autosave path, one golden metric family nothing registers.
+//! autosave path.
 //! This crate makes them machine-checked on every commit:
 //!
 //! | rule | scope | forbids |
@@ -18,7 +18,6 @@
 //! | `feature-hygiene` | everywhere | `feature = "…"` strings not declared in the crate's `Cargo.toml` |
 //! | `durability` | [`rules::DURABILITY_PATHS`] (the codec's durable-file pair) + `crates/serve/src/**` | `rename` without a same-function `sync_all`; `File::create` on a final path |
 //! | `concurrency` | library code outside [`rules::SANCTIONED_POOL_PATHS`] | `ThreadPoolBuilder`, `std::thread::spawn`; `Mutex`/`RwLock` in [`rules::LOCK_FREE_CRATES`] |
-//! | `wire-drift` | cross-file (see [`extract`]) | golden metric families never registered in `metrics.rs` |
 //! | `stale-waiver` | every waiver | waivers that suppress nothing |
 //!
 //! Test code (`tests/`, `#[cfg(test)]` items, `#[test]` fns) is exempt
@@ -35,21 +34,18 @@
 //! `results/lint.json` by `run_suite.sh`), `--list-rules` and
 //! `--explain <rule>` document the rule set.
 
-pub mod extract;
 pub mod lexer;
 pub mod manifest;
 pub mod rules;
 
-pub use extract::{check_wire, WireRole, WireSource};
-pub use rules::{check_file, rule_info, FileCtx, FileKind, Finding, Related, RuleInfo, RULES};
+pub use rules::{check_file, rule_info, FileCtx, FileKind, Finding, RuleInfo, RULES};
 
 use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
 
 /// Lints every first-party crate of the workspace rooted at `root` (the
-/// root package plus each `crates/*` member), then cross-checks the
-/// wire-format files against each other. `vendor/` (third-party
+/// root package plus each `crates/*` member). `vendor/` (third-party
 /// stand-ins) and directories named `fixtures` or `target` are skipped.
 ///
 /// # Errors
@@ -103,47 +99,9 @@ pub fn lint_workspace(root: &Path) -> io::Result<Vec<Finding>> {
             }
         }
     }
-    findings.extend(wire_pass(root)?);
     findings
         .sort_by(|a, b| (&a.path, a.line, a.col, a.rule).cmp(&(&b.path, b.line, b.col, b.rule)));
     Ok(findings)
-}
-
-/// The fixed role map of the cross-file pass: workspace-relative path →
-/// which half of which wire format it holds.
-pub const WIRE_ROLES: [(&str, WireRole); 2] = [
-    ("crates/core/src/metrics.rs", WireRole::Metrics),
-    (
-        "crates/core/tests/golden/metrics.txt",
-        WireRole::GoldenMetrics,
-    ),
-];
-
-/// Reads whichever wire-format files exist under `root` and cross-checks
-/// them; a format with a missing half is skipped, so the pass also works
-/// on partial trees (the seeded-drift smoke check in `run_suite.sh`
-/// copies just `metrics.rs` and the golden `metrics.txt` into a scratch
-/// root).
-fn wire_pass(root: &Path) -> io::Result<Vec<Finding>> {
-    let mut owned: Vec<(String, String, WireRole)> = Vec::new();
-    for (rel, role) in WIRE_ROLES {
-        let mut p = root.to_path_buf();
-        for part in rel.split('/') {
-            p.push(part);
-        }
-        if p.is_file() {
-            owned.push((rel.to_string(), fs::read_to_string(&p)?, role));
-        }
-    }
-    let sources: Vec<WireSource<'_>> = owned
-        .iter()
-        .map(|(path, src, role)| WireSource {
-            role: *role,
-            path,
-            src,
-        })
-        .collect();
-    Ok(check_wire(&sources))
 }
 
 /// Renders findings as the stable machine-readable diagnostics document
@@ -160,22 +118,13 @@ pub fn render_json(findings: &[Finding]) -> String {
     s.push_str("  \"findings\": [\n");
     for (i, f) in findings.iter().enumerate() {
         s.push_str(&format!(
-            "    {{\"file\": {}, \"line\": {}, \"col\": {}, \"rule\": {}, \"message\": {}",
+            "    {{\"file\": {}, \"line\": {}, \"col\": {}, \"rule\": {}, \"message\": {}}}",
             json_str(&f.path),
             f.line,
             f.col,
             json_str(f.rule),
             json_str(&f.message),
         ));
-        if let Some(r) = &f.related {
-            s.push_str(&format!(
-                ", \"related\": {{\"file\": {}, \"line\": {}, \"col\": {}}}",
-                json_str(&r.path),
-                r.line,
-                r.col,
-            ));
-        }
-        s.push('}');
         if i + 1 < findings.len() {
             s.push(',');
         }

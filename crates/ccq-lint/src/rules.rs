@@ -30,7 +30,7 @@ use std::fmt;
 /// Every waivable rule the engine knows, in reporting order.
 /// `waiver` and `stale-waiver` diagnostics are never waivable and are
 /// deliberately absent.
-pub const RULE_NAMES: [&str; 8] = [
+pub const RULE_NAMES: [&str; 7] = [
     "determinism",
     "panic-surface",
     "no-unsafe",
@@ -38,7 +38,6 @@ pub const RULE_NAMES: [&str; 8] = [
     "feature-hygiene",
     "durability",
     "concurrency",
-    "wire-drift",
 ];
 
 /// Crates whose library code must stay deterministic and panic-free:
@@ -85,7 +84,7 @@ pub struct RuleInfo {
 /// One entry per diagnostic the engine can emit, including the two
 /// meta-diagnostics (`waiver`, `stale-waiver`) that police the waivers
 /// themselves.
-pub const RULES: [RuleInfo; 10] = [
+pub const RULES: [RuleInfo; 9] = [
     RuleInfo {
         name: "determinism",
         scope: "library code of the protected crates (ccq, ccq-tensor, ccq-nn, ccq-quant, ccq-serve, ccq-infer), outside tests",
@@ -127,12 +126,6 @@ pub const RULES: [RuleInfo; 10] = [
         scope: "library code outside crates/tensor/src/par.rs, outside tests; the Mutex/RwLock ban covers the lock-free crates (ccq, ccq-tensor, ccq-nn, ccq-quant, ccq-infer)",
         rationale: "ad-hoc pools and raw std::thread::spawn bypass ccq_tensor::par's deterministic structural split; locks in descent hot paths serialize what chunking already partitions",
         waiver_policy: "line waiver; none in the tree: ccq_tensor::par::with_threads is the one pool constructor",
-    },
-    RuleInfo {
-        name: "wire-drift",
-        scope: "cross-file: golden metrics.txt families vs metrics.rs registrations (the JSONL, probe-cache and job-spec records and the CCQRUNS/CCQPACK tags are each declared once for writer and reader and need no check)",
-        rationale: "a golden family nothing registers is a rename that outlived the code, which golden re-blessing can hide",
-        waiver_policy: "never waivable: findings sit in the golden text, which carries no waivers; register the metric or re-bless the golden",
     },
     RuleInfo {
         name: "waiver",
@@ -181,18 +174,6 @@ pub struct FileCtx<'a> {
     pub features: &'a BTreeSet<String>,
 }
 
-/// The other half of a cross-file diagnostic: where the counterpart
-/// format lives.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Related {
-    /// Workspace-relative path of the counterpart.
-    pub path: String,
-    /// 1-based line.
-    pub line: u32,
-    /// 1-based column.
-    pub col: u32,
-}
-
 /// One diagnostic.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Finding {
@@ -208,8 +189,6 @@ pub struct Finding {
     pub rule: &'static str,
     /// Human-readable explanation.
     pub message: String,
-    /// For cross-file rules, the counterpart location.
-    pub related: Option<Related>,
 }
 
 impl fmt::Display for Finding {
@@ -218,11 +197,7 @@ impl fmt::Display for Finding {
             f,
             "{}:{}:{}: {}: {}",
             self.path, self.line, self.col, self.rule, self.message
-        )?;
-        if let Some(r) = &self.related {
-            write!(f, " (counterpart: {}:{}:{})", r.path, r.line, r.col)?;
-        }
-        Ok(())
+        )
     }
 }
 
@@ -307,7 +282,6 @@ pub fn check_file(ctx: &FileCtx<'_>, src: &str) -> Vec<Finding> {
                     .collect::<Vec<_>>()
                     .join(", ")
             ),
-            related: None,
         });
     }
     findings.sort_by_key(|f| (f.line, f.col, f.rule));
@@ -373,7 +347,6 @@ fn scan_token(
                 col: t.col,
                 rule,
                 message,
-                related: None,
             });
         }
     };
@@ -514,7 +487,6 @@ fn durability_pass(
                     message: "`rename` with no preceding `sync_all` in the same function; \
                               durable writes go tmp + fsync + rename"
                         .into(),
-                    related: None,
                 });
             }
         }
@@ -549,7 +521,6 @@ fn durability_pass(
                     message: "`File::create` on a final path; create a tmp sibling, fsync it, \
                               then rename into place"
                         .into(),
-                    related: None,
                 });
             }
         }
@@ -590,8 +561,8 @@ fn fn_scope_ids(toks: &[Tok], code: &[usize]) -> Vec<usize> {
 
 /// Extracts waiver directives from comment tokens. Returns the parsed
 /// waivers plus diagnostics for malformed ones (missing reason, unknown
-/// rule, file-level in library code, naming `wire-drift`); those
-/// diagnostics are not themselves waivable.
+/// rule, file-level in library code); those diagnostics are not
+/// themselves waivable.
 fn collect_waivers(ctx: &FileCtx<'_>, toks: &[Tok]) -> (Vec<Waiver>, Vec<Finding>) {
     let mut waivers = Vec::new();
     let mut findings = Vec::new();
@@ -610,7 +581,6 @@ fn collect_waivers(ctx: &FileCtx<'_>, toks: &[Tok]) -> (Vec<Waiver>, Vec<Finding
                 col: t.col,
                 rule: "waiver",
                 message,
-                related: None,
             });
         };
         let rest = rest.trim_start();
@@ -639,10 +609,6 @@ fn collect_waivers(ctx: &FileCtx<'_>, toks: &[Tok]) -> (Vec<Waiver>, Vec<Finding
                 bad(format!("waiver names unknown rule `{r}`"));
                 ok = false;
             }
-        }
-        if rules.iter().any(|r| r == "wire-drift") {
-            bad("wire-drift findings sit in the golden metrics text and cannot be waived".into());
-            ok = false;
         }
         if file_wide && ctx.kind == FileKind::LibrarySrc {
             bad("file-level waivers are not allowed in library code; waive specific lines".into());
@@ -688,7 +654,7 @@ fn collect_waivers(ctx: &FileCtx<'_>, toks: &[Tok]) -> (Vec<Waiver>, Vec<Finding
 /// Marks every token that belongs to test-only code: the bodies of
 /// `#[cfg(test)]` items and `#[test]` functions (an inner
 /// `#![cfg(test)]` marks the whole file).
-pub(crate) fn test_mask(toks: &[Tok]) -> Vec<bool> {
+fn test_mask(toks: &[Tok]) -> Vec<bool> {
     let mut mask = vec![false; toks.len()];
     let code: Vec<usize> = (0..toks.len())
         .filter(|&i| toks[i].kind != TokKind::Comment)

@@ -3,21 +3,17 @@
 //! same tree must produce identical bytes, and the schema is pinned
 //! here down to whitespace.
 
-use ccq_lint::{render_json, Finding, Related};
+use ccq_lint::{render_json, Finding};
 
 fn sample() -> Vec<Finding> {
     vec![
         Finding {
-            path: "crates/core/tests/golden/metrics.txt".into(),
+            path: "crates/core/src/searcher.rs".into(),
             line: 41,
-            col: 1,
-            rule: "wire-drift",
-            message: "golden metric family \"ccq_steps_total\" has no registration".into(),
-            related: Some(Related {
-                path: "crates/core/src/metrics.rs".into(),
-                line: 107,
-                col: 22,
-            }),
+            col: 17,
+            rule: "determinism",
+            message: "`HashMap` iteration order varies run-to-run; use BTreeMap/BTreeSet or a Vec"
+                .into(),
         },
         Finding {
             path: "crates/serve/src/spool.rs".into(),
@@ -25,7 +21,6 @@ fn sample() -> Vec<Finding> {
             col: 5,
             rule: "durability",
             message: "rename without a preceding sync_all in the same function".into(),
-            related: None,
         },
     ]
 }
@@ -45,10 +40,9 @@ fn populated_document_bytes_are_pinned() {
         "  \"version\": 1,\n",
         "  \"count\": 2,\n",
         "  \"findings\": [\n",
-        "    {\"file\": \"crates/core/tests/golden/metrics.txt\", \"line\": 41, \"col\": 1, ",
-        "\"rule\": \"wire-drift\", \"message\": \"golden metric family ",
-        "\\\"ccq_steps_total\\\" has no registration\", ",
-        "\"related\": {\"file\": \"crates/core/src/metrics.rs\", \"line\": 107, \"col\": 22}},\n",
+        "    {\"file\": \"crates/core/src/searcher.rs\", \"line\": 41, \"col\": 17, ",
+        "\"rule\": \"determinism\", \"message\": \"`HashMap` iteration order varies ",
+        "run-to-run; use BTreeMap/BTreeSet or a Vec\"},\n",
         "    {\"file\": \"crates/serve/src/spool.rs\", \"line\": 9, \"col\": 5, ",
         "\"rule\": \"durability\", \"message\": ",
         "\"rename without a preceding sync_all in the same function\"}\n",
@@ -72,7 +66,6 @@ fn control_characters_and_quotes_are_escaped() {
         col: 1,
         rule: "determinism",
         message: "tab\there\nnewline\u{1}ctl".into(),
-        related: None,
     }];
     let out = render_json(&f);
     assert!(out.contains("\"a\\\"b\\\\c.rs\""), "{out}");
