@@ -29,7 +29,6 @@
 //! the pre-engine monolithic runner (enforced by the `engine_equivalence`
 //! golden tests).
 
-#[cfg(feature = "fault-inject")]
 use crate::fault::{inject_nan, FaultPlan};
 use crate::guard::{capture_velocities, restore_velocities, StepSnapshot};
 use crate::run_state::RunState;
@@ -153,7 +152,6 @@ struct PendingStep {
 pub struct DescentEngine<'a> {
     config: &'a CcqConfig,
     searcher: &'a mut dyn Searcher,
-    #[cfg(feature = "fault-inject")]
     fault: Option<&'a FaultPlan>,
     net: &'a mut Network,
     train: &'a mut dyn FnMut(&mut Rng64) -> Vec<Batch>,
@@ -272,7 +270,6 @@ impl<'a> DescentEngine<'a> {
         Ok(DescentEngine {
             config,
             searcher,
-            #[cfg(feature = "fault-inject")]
             fault: None,
             net,
             train,
@@ -293,8 +290,7 @@ impl<'a> DescentEngine<'a> {
         })
     }
 
-    /// Arms a fault-injection plan for this run (builder style).
-    #[cfg(feature = "fault-inject")]
+    /// Arms a fault plan for this run (builder style).
     pub(crate) fn with_faults(mut self, plan: Option<&'a FaultPlan>) -> Self {
         self.fault = plan;
         self
@@ -696,42 +692,17 @@ impl<'a> DescentEngine<'a> {
 
     /// One collaboration stage; narrates every recovery epoch and returns
     /// the full [`RecoveryRecord`]. `step` identifies the quantization
-    /// step for fault-injection coordinates (0 = the initial
+    /// step for the fault plan's coordinates (0 = the initial
     /// post-ladder-top stage).
     fn collaborate(&mut self, step: usize) -> Result<RecoveryRecord> {
         let train = (self.train)(&mut self.st.r);
-        #[cfg(not(feature = "fault-inject"))]
-        let _ = step;
-        #[cfg(feature = "fault-inject")]
-        let rec = if let Some(plan) = self.fault {
-            let mut hook = |e: usize, n: &mut Network| {
-                if plan.take_nan_grad(step, e) {
-                    inject_nan(n);
-                }
-            };
-            self.st.collab.recover_with_hook(
-                self.net,
-                &train,
-                self.val,
-                self.st.baseline,
-                &mut self.st.opt,
-                &mut self.st.hybrid,
-                &mut self.st.r,
-                Some(&mut hook),
-            )?
-        } else {
-            self.st.collab.recover(
-                self.net,
-                &train,
-                self.val,
-                self.st.baseline,
-                &mut self.st.opt,
-                &mut self.st.hybrid,
-                &mut self.st.r,
-            )?
+        let fault = self.fault;
+        let mut hook = |e: usize, n: &mut Network| {
+            if fault.is_some_and(|plan| plan.take_nan_grad(step, e)) {
+                inject_nan(n);
+            }
         };
-        #[cfg(not(feature = "fault-inject"))]
-        let rec = self.st.collab.recover(
+        let rec = self.st.collab.recover_with_hook(
             self.net,
             &train,
             self.val,
@@ -739,6 +710,7 @@ impl<'a> DescentEngine<'a> {
             &mut self.st.opt,
             &mut self.st.hybrid,
             &mut self.st.r,
+            Some(&mut hook),
         )?;
         for e in &rec.trace {
             self.st.epoch += 1;
@@ -765,13 +737,10 @@ impl<'a> DescentEngine<'a> {
         loop {
             // An injected write failure preempts the write, so it consumes
             // no directory-fsync fault.
-            #[cfg(feature = "fault-inject")]
             let (fail_write, fail_dir_sync) = self.fault.map_or((false, false), |p| {
                 let fail_write = p.take_write_failure();
                 (fail_write, !fail_write && p.take_dir_sync_failure())
             });
-            #[cfg(not(feature = "fault-inject"))]
-            let (fail_write, fail_dir_sync) = (false, false);
             let result = if fail_write {
                 Err(CcqError::CheckpointIo(format!(
                     "injected write failure for {}",

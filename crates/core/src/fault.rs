@@ -1,4 +1,4 @@
-//! Deterministic fault injection (feature `fault-inject`).
+//! Deterministic fault injection.
 //!
 //! A [`FaultPlan`] declares, up front, exactly which faults fire and
 //! when: NaN gradients at chosen (step, epoch) coordinates, and a number

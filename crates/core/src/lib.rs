@@ -48,7 +48,6 @@ mod competition;
 mod engine;
 mod error;
 pub mod event;
-#[cfg(feature = "fault-inject")]
 pub mod fault;
 mod guard;
 mod lambda;
@@ -72,7 +71,6 @@ pub use event::{
     CsvSink, DescentEvent, EventSink, FanoutSink, JsonlSink, NullSink, StepRecord, TraceBuffer,
     TraceEvent, TracePoint,
 };
-#[cfg(feature = "fault-inject")]
 pub use fault::FaultPlan;
 pub use guard::GuardPolicy;
 pub use lambda::LambdaSchedule;

@@ -67,9 +67,9 @@ pub struct RecoveryRecord {
 }
 
 /// A per-epoch callback into the recovery loop, called with the 0-based
-/// epoch index *before* that epoch trains. The deterministic
-/// fault-injection harness uses this to poison the network at exact
-/// (step, epoch) coordinates.
+/// epoch index *before* that epoch trains. The engine arms it from
+/// [`crate::FaultPlan`] to poison the network at exact (step, epoch)
+/// coordinates.
 pub type EpochHook<'a> = &'a mut dyn FnMut(usize, &mut Network);
 
 /// The collaboration engine: all layers fine-tune together under

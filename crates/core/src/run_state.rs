@@ -233,7 +233,7 @@ impl RunState {
     /// rotating an existing current file to `<path>.prev` so the last
     /// good generation survives a torn write.
     ///
-    /// `fail_dir_sync` is a fault-injection hook (normally `false`): the
+    /// `fail_dir_sync` is a fault hook (normally `false`): the
     /// post-rename directory fsync reports a failure after the rename
     /// lands, exactly like a real barrier failure.
     ///

@@ -3,7 +3,6 @@
 
 use crate::engine::{DescentEngine, StartPoint};
 use crate::event::{render_schedule_csv, render_trace_csv, EventSink, NullSink};
-#[cfg(feature = "fault-inject")]
 use crate::fault::FaultPlan;
 use crate::run_state::RunState;
 use crate::searcher::{Searcher, SearcherKind};
@@ -205,7 +204,6 @@ impl fmt::Display for CcqReport {
 pub struct CcqRunner {
     config: CcqConfig,
     searcher: Box<dyn Searcher>,
-    #[cfg(feature = "fault-inject")]
     fault: Option<FaultPlan>,
 }
 
@@ -221,14 +219,12 @@ impl CcqRunner {
         CcqRunner {
             config,
             searcher,
-            #[cfg(feature = "fault-inject")]
             fault: None,
         }
     }
 
-    /// Arms a deterministic fault-injection plan: the scheduled NaN
+    /// Arms a deterministic fault plan: the scheduled NaN
     /// gradients and write failures fire during the next run.
-    #[cfg(feature = "fault-inject")]
     pub fn inject_faults(&mut self, plan: FaultPlan) {
         self.fault = Some(plan);
     }
@@ -254,7 +250,6 @@ impl CcqRunner {
     }
 
     /// The armed fault plan, when one was injected.
-    #[cfg(feature = "fault-inject")]
     pub fn fault_plan(&self) -> Option<&FaultPlan> {
         self.fault.as_ref()
     }
@@ -266,7 +261,6 @@ impl CcqRunner {
         // An injected read failure fails the load outright; an injected
         // corruption flips a byte of the current generation in memory,
         // and the load falls back to `<path>.prev` if that breaks it.
-        #[cfg(feature = "fault-inject")]
         if let Some(plan) = &self.fault {
             if plan.take_read_failure() {
                 return Err(CcqError::CheckpointIo(format!(
@@ -306,9 +300,7 @@ impl CcqRunner {
             sink,
             start,
         )?;
-        #[cfg(feature = "fault-inject")]
-        let engine = engine.with_faults(self.fault.as_ref());
-        Ok(engine)
+        Ok(engine.with_faults(self.fault.as_ref()))
     }
 
     /// The generic driver every public entry point funnels into: builds

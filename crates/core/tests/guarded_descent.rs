@@ -1,9 +1,7 @@
-//! Integration tests for the divergence guard and the fault-injection
+//! Integration tests for the divergence guard and the `FaultPlan`
 //! harness: injected NaN gradients trigger rollback/retry or quarantine,
 //! injected write failures are retried, and the last-good run-state
 //! generation always survives a torn write.
-
-#![cfg(feature = "fault-inject")]
 
 use ccq::fault::{corrupt_byte, truncate_file};
 use ccq::{

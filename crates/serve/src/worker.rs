@@ -242,7 +242,7 @@ impl EventSink for StitchSink {
 /// `running/`). `shutdown` is polled once per engine phase; when it
 /// reports true the run pauses at the next autosave boundary and the
 /// attempt returns [`AttemptOutcome::Paused`]. `fault` optionally arms
-/// the core's deterministic fault-injection plan (crash harnesses).
+/// the core's deterministic fault plan (crash harnesses).
 ///
 /// # Errors
 ///

@@ -467,7 +467,7 @@ fn with_suffix(path: &Path, suffix: &str) -> PathBuf {
 /// fsynced so the renames survive power loss. A directory that cannot
 /// be opened is skipped, since some filesystems refuse that.
 ///
-/// `fail_dir_sync` is a fault-injection hook: the directory fsync
+/// `fail_dir_sync` is a fault hook: the directory fsync
 /// reports a failure after the rename has landed, as a real one would.
 ///
 /// # Errors
@@ -525,7 +525,7 @@ pub fn read(path: &Path) -> Result<Vec<u8>, FileError> {
 /// Reads and decodes `path`, falling back to `<path>.prev` when the
 /// current generation is missing, unreadable or does not decode.
 ///
-/// `corrupt_current` is a fault-injection hook: it flips one mid-file
+/// `corrupt_current` is a fault hook: it flips one mid-file
 /// byte of the current generation in memory before decoding, as bit rot
 /// on disk would.
 ///

@@ -3,9 +3,10 @@
 //! runner. The golden digests under `crates/core/tests/golden/` were
 //! captured from the pre-refactor `CcqRunner` (set `CCQ_BLESS=1` to
 //! re-bless after an *intentional* trajectory change); every driver path
-//! — `run`, a guarded fault-injected run, and an interrupted+resumed run
-//! through the CCQRUNS autosave — must reproduce them exactly: same
-//! trace, same step records, same bit pattern, same final weights.
+//! — `run`, a guarded run with injected faults, and an
+//! interrupted+resumed run through the CCQRUNS autosave — must reproduce
+//! them exactly: same trace, same step records, same bit pattern, same
+//! final weights.
 
 use ccq::{CcqConfig, CcqReport, CcqRunner, FaultPlan, LambdaSchedule, RecoveryMode};
 use ccq_data::{gaussian_blobs, BlobsConfig};
@@ -152,8 +153,6 @@ fn seeded_run_matches_pre_refactor_golden() {
     check("seeded_run.digest", &d);
 }
 
-// `FaultPlan` needs ccq's `fault-inject` feature, which the ccq-serve
-// dev-dependency turns on for every test build of this package.
 #[test]
 fn guarded_fault_injected_run_matches_pre_refactor_golden() {
     let (train, val) = data();

@@ -191,7 +191,7 @@ fn mid_checkpoint_write_faults_then_recovery_is_byte_identical() {
 
     // Four consecutive autosave write failures exceed the core's default
     // retry budget (3), so the attempt dies *inside* the checkpoint
-    // phase with CheckpointIo — the fault-injected analogue of SIGKILL
+    // phase with CheckpointIo — the injected-fault analogue of SIGKILL
     // mid-save.
     let (root, spool) = fresh_spool("fkill");
     claim(&spool, &spec);
