@@ -8,7 +8,8 @@ use std::fs;
 use std::path::Path;
 
 /// Lints a fixture as if it were library code of the protected `ccq`
-/// crate with the real core feature set.
+/// crate declaring the features `default` and `fault-inject`, so the
+/// fixtures can show declared features passing.
 fn lint_fixture(name: &str) -> Vec<Finding> {
     let path = Path::new(env!("CARGO_MANIFEST_DIR"))
         .join("tests/fixtures")
