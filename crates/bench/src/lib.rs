@@ -2,8 +2,9 @@
 //!
 //! Each binary in `src/bin/` regenerates one table or figure of the paper
 //! (see DESIGN.md §4 for the index); this library holds the workload
-//! construction they share: dataset building, baseline pre-training, and
-//! environment-variable scaling knobs.
+//! construction they share: dataset building, baseline pre-training,
+//! environment-variable scaling knobs, and the timing helpers of the
+//! `bench_perf` snapshot.
 
 use ccq::{DescentEvent, EventSink};
 use ccq_data::{synth_cifar, Augment, ImageDataset, SynthCifarConfig};
@@ -12,6 +13,7 @@ use ccq_nn::train::{evaluate, train_epoch, Batch};
 use ccq_nn::{Network, Sgd};
 use ccq_quant::PolicyKind;
 use ccq_tensor::rng;
+use std::time::Instant;
 
 /// Experiment scale, controlled by the `CCQ_SCALE` environment variable:
 /// `smoke` (seconds, CI-sized), `small` (default, minutes), `full`
@@ -245,6 +247,32 @@ pub fn fmt_pct(x: f32) -> String {
     format!("{:.2}", 100.0 * x)
 }
 
+/// Parses a `CCQ_BENCH_REPS` value by the `RAYON_NUM_THREADS` rule:
+/// trimmed, must be a positive integer, otherwise `default`.
+pub fn reps_from_env(var: Option<&str>, default: usize) -> usize {
+    var.and_then(|s| s.trim().parse::<usize>().ok())
+        .filter(|&n| n > 0)
+        .unwrap_or(default)
+}
+
+/// Times `variants` variants of one comparison round-robin: `run(v)`
+/// once per variant as a warm-up, then `reps` rounds that each call
+/// `run(0)`, `run(1)`, … in order. Returns each variant's fastest run in
+/// milliseconds, in variant order. Interleaving spreads a slow spell of
+/// the host over every variant instead of one.
+pub fn time_interleaved_ms(variants: usize, reps: usize, mut run: impl FnMut(usize)) -> Vec<f64> {
+    (0..variants).for_each(&mut run);
+    let mut best = vec![f64::INFINITY; variants];
+    for _ in 0..reps {
+        for (v, best) in best.iter_mut().enumerate() {
+            let t0 = Instant::now();
+            run(v);
+            *best = best.min(t0.elapsed().as_secs_f64() * 1e3);
+        }
+    }
+    best
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -269,5 +297,25 @@ mod tests {
     fn formatting_helpers() {
         assert_eq!(fmt_ratio(10.266), "10.27x");
         assert_eq!(fmt_pct(0.9234), "92.34");
+    }
+
+    #[test]
+    fn reps_fall_back_unless_a_positive_integer() {
+        for bad in [None, Some("0"), Some(""), Some("x"), Some("-1")] {
+            assert_eq!(reps_from_env(bad, 20), 20, "{bad:?}");
+        }
+        assert_eq!(reps_from_env(Some(" 7\n"), 20), 7);
+    }
+
+    #[test]
+    fn interleaved_timer_alternates_and_keeps_each_fastest() {
+        let mut calls = Vec::new();
+        let ms = time_interleaved_ms(3, 2, |v| {
+            calls.push(v);
+            std::thread::sleep(std::time::Duration::from_millis(5 * v as u64));
+        });
+        assert_eq!(calls, [0, 1, 2, 0, 1, 2, 0, 1, 2]);
+        assert_eq!(ms.len(), 3);
+        assert!(ms[0] < 5.0 && ms[1] >= 5.0 && ms[2] >= 10.0, "{ms:?}");
     }
 }

@@ -1,8 +1,8 @@
 //! Numeric kernels: matrix products, convolution lowering, reductions.
 //!
 //! All kernels operate on plain contiguous buffers; none allocate more than
-//! their output. These are the hot paths measured by the criterion benches
-//! in `ccq-bench`.
+//! their output. The `bench_perf` snapshot in `ccq-bench` times these hot
+//! paths: `matmul` directly, the conv lowering through whole forwards.
 
 mod conv;
 mod intmm;

@@ -1,6 +1,6 @@
 #!/bin/bash
 # Gate (tests, serial-run tests, clippy), then regenerate every table
-# and figure of the paper into results/, plus the bench snapshots.
+# and figure of the paper into results/, plus the bench snapshot.
 set -x
 cd /root/repo
 mkdir -p results
@@ -137,17 +137,15 @@ for S in hedge zero-bit releq one-shot; do
     > "results/search_$S.log" 2>&1 || exit 1
 done
 
-# --- bench-smoke gate: the snapshot benchmarks must run at one rep at
-# one thread AND at the default thread count, write parseable JSON,
-# incremental probing must never lose to full-forward probing, and
-# packed execution must stay bit-exact with >=2x compression (bench_simd
-# and bench_pack --smoke self-check their snapshots and enforce their
-# floors) ---
+# --- bench-smoke gate: the snapshot benchmark must run at one rep, once
+# pinned to one thread and once at the default thread count (that run
+# times every row at 1 thread and at the default), write parseable JSON, keep
+# incremental probing no slower than full-forward probing, and keep
+# packed execution bit-exact with >=2x compression (bench_perf --smoke
+# self-checks its snapshot and enforces these floors) ---
 cargo build --release -p ccq-bench 2> results/build.log || exit 1
-RAYON_NUM_THREADS=1 target/release/bench_simd --smoke results/bench_simd_smoke_serial.json > /dev/null 2> results/bench_smoke_serial.log || exit 1
-RAYON_NUM_THREADS=1 target/release/bench_pack --smoke results/bench_pack_smoke_serial.json > /dev/null 2>> results/bench_smoke_serial.log || exit 1
-target/release/bench_simd --smoke results/bench_simd_smoke.json > /dev/null 2> results/bench_smoke.log || exit 1
-target/release/bench_pack --smoke results/bench_pack_smoke.json > /dev/null 2>> results/bench_smoke.log || exit 1
+RAYON_NUM_THREADS=1 target/release/bench_perf --smoke results/bench_perf_smoke_serial.json > /dev/null 2> results/bench_smoke_serial.log || exit 1
+target/release/bench_perf --smoke results/bench_perf_smoke.json > /dev/null 2> results/bench_smoke.log || exit 1
 # the packed artifacts — the bench demo and a daemon job's sidecar —
 # must load and summarize through the deploy-side reader
 target/release/ccq-report --packed results/demo.ccqpack > results/packed_report.txt 2>> results/bench_smoke.log || exit 1
@@ -163,6 +161,5 @@ time target/release/fig1_lambda > results/fig1_lambda.csv 2> results/fig1_lambda
 time target/release/table1 > results/table1.csv 2> results/table1.log
 time target/release/ablations > results/ablations.csv 2> results/ablations.log
 time target/release/table2 > results/table2.csv 2> results/table2.log
-time target/release/bench_simd BENCH_simd.json > results/bench_simd.log 2>&1
-time target/release/bench_pack BENCH_pack.json > results/bench_pack.log 2>&1
+time target/release/bench_perf BENCH_perf.json > results/bench_perf.log 2>&1
 echo ALL_DONE

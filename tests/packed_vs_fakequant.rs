@@ -27,7 +27,7 @@ use ccq_repro::tensor::{rng, Init, Rng64};
 
 /// Pinned integer-execution agreement bound (max abs logit deviation).
 /// Observed worst case across the three workloads and four searchers is
-/// well under 5e-2; `bench_pack` pins the same bound.
+/// well under 5e-2; `bench_perf --smoke` pins the same bound.
 const INT_BOUND: f32 = 1e-1;
 
 const SEARCHERS: [SearcherKind; 4] = [
