@@ -74,22 +74,15 @@ impl ActivationCache {
         let mut boundaries: Vec<Vec<Tensor>> = (1..segments)
             .map(|_| Vec::with_capacity(batches.len()))
             .collect();
-        let mut record = |net: &mut Network| -> Result<()> {
-            for batch in batches {
-                net.forward_recording(&batch.images, &mut |s, out| {
-                    // The last segment's output is the logits; only the
-                    // inputs of segments 1..segments are re-entry points.
-                    if s + 1 < segments {
-                        boundaries[s].push(out.clone());
-                    }
-                })?;
-            }
-            Ok(())
-        };
-        // The recording forwards run serially on the calling thread;
-        // pin nested kernels to one thread so they don't each spawn
-        // `num_threads()` workers per matmul.
-        ccq_tensor::par::with_threads(1, || record(net))?;
+        for batch in batches {
+            net.forward_recording(&batch.images, &mut |s, out| {
+                // The last segment's output is the logits; only the
+                // inputs of segments 1..segments are re-entry points.
+                if s + 1 < segments {
+                    boundaries[s].push(out.clone());
+                }
+            })?;
+        }
         Ok(ActivationCache {
             generation,
             segments,

@@ -114,23 +114,16 @@ pub fn evaluate_from(
     if segment_base == 0 {
         cache.validate_prefix(net, segment)?;
     }
-    let run = |net: &mut Network| -> Result<Vec<(f32, f32)>> {
-        let mut per_batch = Vec::with_capacity(batches.len());
-        for (b, batch) in batches.iter().enumerate() {
-            let logits = if segment == 0 {
-                net.forward(&batch.images, Mode::Eval)?
-            } else {
-                net.forward_from(segment - segment_base, cache.input(segment, b))?
-            };
-            let (loss, _) = cross_entropy(&logits, &batch.labels)?;
-            per_batch.push((loss, accuracy(&logits, &batch.labels)));
-        }
-        Ok(per_batch)
-    };
-    // Partial forwards always run serially on the calling thread; pin
-    // nested kernels to one thread so each matmul doesn't spawn
-    // `num_threads()` workers.
-    let per_batch = par::with_threads(1, || run(net))?;
+    let mut per_batch = Vec::with_capacity(batches.len());
+    for (b, batch) in batches.iter().enumerate() {
+        let logits = if segment == 0 {
+            net.forward(&batch.images, Mode::Eval)?
+        } else {
+            net.forward_from(segment - segment_base, cache.input(segment, b))?
+        };
+        let (loss, _) = cross_entropy(&logits, &batch.labels)?;
+        per_batch.push((loss, accuracy(&logits, &batch.labels)));
+    }
     Ok(reduce_metrics(&per_batch, batches))
 }
 
@@ -151,11 +144,7 @@ fn eval_batches_serial(net: &mut Network, batches: &[Batch]) -> Result<Vec<(f32,
 fn eval_batches(net: &mut Network, batches: &[Batch]) -> Result<Vec<(f32, f32)>> {
     let threads = par::num_threads();
     if threads <= 1 || batches.len() < PAR_MIN_BATCHES_PER_WORKER * threads {
-        // The fallback must also pin nested kernels to one thread:
-        // running on the calling thread leaves `num_threads()`
-        // at the installed count, and every large-enough matmul inside
-        // the forwards would spawn that many workers per call.
-        return par::with_threads(1, || eval_batches_serial(net, batches));
+        return eval_batches_serial(net, batches);
     }
     let chunks = batches.chunks(batches.len().div_ceil(threads));
     let mut clones: Vec<Network> = (1..chunks.len()).map(|_| net.clone()).collect();

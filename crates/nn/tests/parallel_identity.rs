@@ -73,8 +73,8 @@ proptest! {
     }
 }
 
-/// A convolutional network drives the parallel im2col/matmul kernels from
-/// inside the parallel evaluation; the combination must still be exact.
+/// A convolutional network runs its im2col/matmul kernels inside each
+/// evaluation piece; the split evaluation must still be exact.
 #[test]
 fn conv_net_evaluation_is_thread_invariant() {
     let mut r = rng(42);

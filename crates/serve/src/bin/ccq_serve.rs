@@ -14,7 +14,8 @@
 //! the graceful-shutdown sentinel (workers park at the next autosave
 //! boundary). A killed daemon needs no special handling: the next `run`
 //! reclaims `running/` orphans and resumes them bit-for-bit. The workers
-//! split the CPUs: each gets `cpus / workers` kernel threads.
+//! split the CPUs: each gets `cpus / workers` threads for its
+//! evaluations and competition probes.
 
 // A CLI talks on stdout/stderr by design.
 #![allow(clippy::print_stdout, clippy::print_stderr)]
@@ -35,8 +36,9 @@ usage: ccq-serve init <root>
        ccq-serve status <root> [--assert-done N]
        ccq-serve stop <root>
 
-run: each of the N workers gets cpus / N kernel threads,
-at least 1; cpus is RAYON_NUM_THREADS or the detected CPU count.";
+run: each of the N workers gets cpus / N threads for evaluation
+and probing, at least 1; cpus is RAYON_NUM_THREADS or the detected
+CPU count.";
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();

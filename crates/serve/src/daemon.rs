@@ -8,10 +8,10 @@
 //! one worker touches a job's artifacts at a time; a claim is dropped
 //! once its job has left `running/`.
 //!
-//! The workers share one CPU budget: each runs its jobs' kernels,
-//! evaluations and probes on `cpus / workers` threads (at least 1), so
-//! the pool never oversubscribes the host. Results are bit-identical at
-//! every budget.
+//! The workers share one CPU budget: each splits its jobs' evaluations
+//! and competition probes over `cpus / workers` threads (at least 1), so
+//! the pool never oversubscribes the host. Kernels run on the worker's
+//! own thread. Results are bit-identical at every budget.
 //!
 //! Shutdown is cooperative: an in-process [`AtomicBool`] or the spool's
 //! `stop` sentinel file (the cross-process channel — the workspace
@@ -292,10 +292,10 @@ fn process_job(shared: &Shared<'_>, id: &str) {
     }
 }
 
-/// Kernel threads per worker: the workers split the CPUs (`cpus`, as
+/// Threads per worker: the workers split the CPUs (`cpus`, as
 /// `RAYON_NUM_THREADS` or the detected count) instead of each fanning
-/// every kernel out to all of them.
-fn kernel_budget(cpus: usize, workers: usize) -> usize {
+/// every evaluation and probe round out to all of them.
+fn thread_budget(cpus: usize, workers: usize) -> usize {
     (cpus / workers.max(1)).max(1)
 }
 
@@ -313,7 +313,7 @@ pub fn run_daemon(spool: &Spool, cfg: &DaemonConfig, stop: &AtomicBool) -> Resul
     spool.init()?;
     spool.clear_stop()?;
     let shared = Shared::new(spool, cfg, stop);
-    let budget = kernel_budget(par::num_threads(), cfg.workers);
+    let budget = thread_budget(par::num_threads(), cfg.workers);
     std::thread::scope(|s| {
         for _ in 0..cfg.workers.max(1) {
             s.spawn(|| par::with_threads(budget, || worker_loop(&shared)));
@@ -358,11 +358,11 @@ mod tests {
     }
 
     #[test]
-    fn workers_split_the_kernel_threads() {
-        assert_eq!(kernel_budget(2, 2), 1);
-        assert_eq!(kernel_budget(8, 2), 4);
-        assert_eq!(kernel_budget(2, 3), 1);
-        assert_eq!(kernel_budget(2, 1), 2);
+    fn workers_split_the_threads() {
+        assert_eq!(thread_budget(2, 2), 1);
+        assert_eq!(thread_budget(8, 2), 4);
+        assert_eq!(thread_budget(2, 3), 1);
+        assert_eq!(thread_budget(2, 1), 2);
     }
 
     #[test]

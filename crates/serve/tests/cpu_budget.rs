@@ -1,6 +1,6 @@
 //! The daemon's CPU budget changes scheduling, never bytes: the same
-//! jobs drained by one worker (all the kernel threads) and by two
-//! workers (half each) leave byte-identical artifacts in `done/`.
+//! jobs drained by one worker (all the threads) and by two workers (half
+//! each) leave byte-identical artifacts in `done/`.
 
 use ccq_serve::{run_daemon, DaemonConfig, Dir, JobSpec, Spool};
 use ccq_tensor::par;
@@ -10,7 +10,7 @@ use std::sync::atomic::AtomicBool;
 
 const JOBS: [(&str, u64); 2] = [("budget-a", 0), ("budget-b", 5)];
 
-/// Drains both jobs with `workers` workers out of 4 kernel threads, so
+/// Drains both jobs with `workers` workers out of 4 threads, so
 /// the per-worker budget is 4 / `workers` on any host. Returns each
 /// job's `.ccqruns`, `.ccqpack`, report and spool-normalised event log.
 fn drain(workers: usize) -> Vec<[Vec<u8>; 4]> {

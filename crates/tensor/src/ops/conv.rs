@@ -9,7 +9,6 @@
 
 use std::ops::Range;
 
-use crate::par::for_each_chunk_mut;
 use crate::{Result, Tensor, TensorError};
 
 /// Geometry of a 2-D convolution (square stride/padding per side).
@@ -101,13 +100,9 @@ pub fn im2col(input: &Tensor, geom: Conv2dGeometry) -> Result<Tensor> {
         return Ok(out);
     }
     let iv = input.as_slice();
-    // Each output row corresponds to one (channel, kernel-element)
-    // triple and is written by exactly one worker: the C·kh·kw rows are
-    // disjoint, so parallelizing over them is race-free and
-    // bit-identical to the sequential fill.
-    for_each_chunk_mut(out.as_mut_slice(), cols, move |row, orow| {
+    for (row, orow) in out.as_mut_slice().chunks_mut(cols).enumerate() {
         im2col_row(iv, orow, row, geom, (n, c, h, w), (oh, ow));
-    });
+    }
     Ok(out)
 }
 
@@ -223,15 +218,10 @@ pub fn col2im(
         return Ok(out);
     }
     let cv = cols.as_slice();
-    // The scatter-add only overlaps *within* one (sample, channel)
-    // image plane: every accumulated element belongs to exactly one
-    // `[h·w]` block, so parallelizing over those blocks is race-free.
-    // Within a block, contributions accumulate in the same
-    // (ki, kj, ohi, owi) order as the sequential loop — bit-identical.
-    for_each_chunk_mut(out.as_mut_slice(), h * w, move |block, plane| {
+    for (block, plane) in out.as_mut_slice().chunks_mut(h * w).enumerate() {
         let (ni, ci) = (block / c, block % c);
         col2im_plane(cv, plane, ni, ci, geom, (n, h, w), (oh, ow));
-    });
+    }
     Ok(out)
 }
 

@@ -6,11 +6,9 @@
 //! carried as `i8`) into an `i32` accumulator; a single f32 rescale at
 //! the layer boundary converts the accumulator back to real units.
 //!
-//! The kernels are serial. [`int_im2col`] is serial too, although the
-//! f32 [`im2col`](crate::ops::im2col) that shares its row routine splits
-//! rows across threads: a packed forward then spawns no threads, and a
-//! caller running several inferences at once decides the thread count
-//! alone.
+//! The kernels are serial, like every kernel in [`crate::ops`]: a packed
+//! forward spawns no threads, and a caller running several inferences at
+//! once decides the thread count alone.
 //!
 //! A packed convolution runs through [`int_conv2d`], which does each
 //! piece of work once per call:

@@ -1,10 +1,7 @@
 //! Dense matrix products (row-major, `f32`).
 //!
-//! Every product is computed by a per-row-chunk microkernel that both
-//! the serial and the parallel dispatch paths share. Parallelism only
-//! partitions the *output rows* into contiguous chunks; within a chunk
-//! the microkernel accumulates each output element over `k` in strictly
-//! ascending order, so the result is bit-identical at any thread count.
+//! Every product runs on its caller's thread, and each output element
+//! accumulates over `k` in strictly ascending order.
 //!
 //! The microkernels are register-blocked: `matmul` streams each `B` row
 //! through [`MR`] output rows at once (amortizing the `B` loads that
@@ -23,7 +20,6 @@
 //! ascending order, so the packed path is bit-identical to the unpacked
 //! kernels and to a naive triple loop.
 
-use crate::par::{for_each_chunk_mut, num_threads};
 use crate::{Result, Tensor, TensorError};
 
 /// Register-blocked row group size for the microkernels.
@@ -35,10 +31,6 @@ const NR: usize = 8;
 /// Square tile edge for the cache-blocked transpose.
 const TRANSPOSE_TILE: usize = 32;
 
-/// Minimum number of multiply-adds before a kernel bothers spawning
-/// workers; below this the split overhead dominates.
-const PAR_MIN_FLOPS: usize = 1 << 15;
-
 /// Minimum number of multiply-adds before the packed-panel path pays for
 /// its packing buffers; below this the plain register-blocked kernels
 /// win.
@@ -49,28 +41,18 @@ fn check_rank2(t: &Tensor) -> Result<(usize, usize)> {
     Ok((t.shape()[0], t.shape()[1]))
 }
 
-/// Rows per chunk so that `rows` splits into at most `num_threads()`
-/// pieces, or one piece when the total work is too small to split.
-fn row_chunk(rows: usize, flops: usize) -> usize {
-    let threads = num_threads();
-    if threads <= 1 || rows <= 1 || flops < PAR_MIN_FLOPS {
-        return rows.max(1);
-    }
-    rows.div_ceil(threads)
-}
-
-/// Computes output rows `[row0, row0 + rows)` of `C = A·B` into
-/// `ov_rows` (exactly those rows of `C`). `A: [m, k]`, `B: [k, n]`.
-fn matmul_rows(av: &[f32], bv: &[f32], ov_rows: &mut [f32], row0: usize, k: usize, n: usize) {
+/// Accumulates `C = A·B` into `ov` (all of `C`). `A: [m, k]`,
+/// `B: [k, n]`.
+fn matmul_rows(av: &[f32], bv: &[f32], ov: &mut [f32], k: usize, n: usize) {
     if n == 0 {
         return;
     }
-    let rows = ov_rows.len() / n;
+    let rows = ov.len() / n;
     let mut i = 0;
     while i < rows {
         let block = (rows - i).min(MR);
-        let a_block = &av[(row0 + i) * k..(row0 + i + block) * k];
-        let out_block = &mut ov_rows[i * n..(i + block) * n];
+        let a_block = &av[i * k..(i + block) * k];
+        let out_block = &mut ov[i * n..(i + block) * n];
         if block == MR {
             // Four output rows per pass over each B row: one load of
             // b[j] feeds four fused multiply-adds.
@@ -193,23 +175,18 @@ fn kernel_mr_nr(ap: &[f32], bp: &[f32], k: usize) -> [[f32; NR]; MR] {
     acc
 }
 
-/// Computes output rows `[row0, row0 + rows)` of `C = A·panel(B)` into
-/// `ov_rows` from pre-packed `B` panels. The chunk's rows of `A` are
-/// packed once into [`MR`]-row p-major blocks in `ap`, then the `B`
-/// panel runs as the *outer* loop so one `k×NR` panel stays cache-hot
-/// while the packed `A` blocks stream past it.
-fn matmul_rows_packed(
-    av: &[f32],
-    pb: &PackedB,
-    ov_rows: &mut [f32],
-    row0: usize,
-    ap: &mut Vec<f32>,
-) {
+/// Computes `C = A·panel(B)` into `ov` (all of `C`) from pre-packed `B`
+/// panels. The rows of `A` are packed once into [`MR`]-row p-major
+/// blocks in `ap`, then the `B` panel runs as the *outer* loop so one
+/// `k×NR` panel stays cache-hot while the packed `A` blocks stream past
+/// it. `ap` is a parameter rather than a local `Vec`: at 512³ the local
+/// form ran 15–20% slower on an x86-64-v3 build, with the same bits.
+fn matmul_rows_packed(av: &[f32], pb: &PackedB, ov: &mut [f32], ap: &mut Vec<f32>) {
     let (k, n) = (pb.k, pb.n);
     if n == 0 {
         return;
     }
-    let rows = ov_rows.len() / n;
+    let rows = ov.len() / n;
     let blocks = rows.div_ceil(MR);
     let block_len = k * MR;
     ap.clear();
@@ -220,7 +197,7 @@ fn matmul_rows_packed(
             av,
             &mut ap[ib * block_len..(ib + 1) * block_len],
             k,
-            row0 + ib * MR,
+            ib * MR,
             h,
         );
     }
@@ -233,28 +210,16 @@ fn matmul_rows_packed(
             let h = (rows - i).min(MR);
             let acc = kernel_mr_nr(&ap[ib * block_len..(ib + 1) * block_len], panel, k);
             for (ii, accr) in acc.iter().enumerate().take(h) {
-                let orow = &mut ov_rows[(i + ii) * n + j0..(i + ii) * n + j0 + w];
+                let orow = &mut ov[(i + ii) * n + j0..(i + ii) * n + j0 + w];
                 orow.copy_from_slice(&accr[..w]);
             }
         }
     }
 }
 
-/// Dispatches the packed-panel path over row chunks: `pb` is shared
-/// read-only across workers, each chunk owns its `A` scratch buffer.
-fn matmul_packed_dispatch(av: &[f32], pb: &PackedB, out: &mut Tensor, m: usize) {
-    let (k, n) = (pb.k, pb.n);
-    let chunk = row_chunk(m, m * n * k);
-    for_each_chunk_mut(out.as_mut_slice(), chunk * n, move |ci, ov_rows| {
-        let mut ap = Vec::new();
-        matmul_rows_packed(av, pb, ov_rows, ci * chunk, &mut ap);
-    });
-}
-
 /// `C = A · B` for `A: [m, k]`, `B: [k, n]`.
 ///
-/// Row-chunk parallel with a register-blocked microkernel (packed-panel
-/// above `PACK_MIN_FLOPS`); bit-identical across thread counts.
+/// A register-blocked microkernel, packed-panel above `PACK_MIN_FLOPS`.
 ///
 /// # Errors
 ///
@@ -287,53 +252,19 @@ pub fn matmul(a: &Tensor, b: &Tensor) -> Result<Tensor> {
     }
     let (av, bv) = (a.as_slice(), b.as_slice());
     if m * n * k >= PACK_MIN_FLOPS {
-        let pb = PackedB::from_b(bv, k, n);
-        matmul_packed_dispatch(av, &pb, &mut out, m);
-        return Ok(out);
+        matmul_rows_packed(
+            av,
+            &PackedB::from_b(bv, k, n),
+            out.as_mut_slice(),
+            &mut Vec::new(),
+        );
+    } else {
+        matmul_rows(av, bv, out.as_mut_slice(), k, n);
     }
-    let chunk = row_chunk(m, m * n * k);
-    for_each_chunk_mut(out.as_mut_slice(), chunk * n, move |ci, ov_rows| {
-        matmul_rows(av, bv, ov_rows, ci * chunk, k, n);
-    });
     Ok(out)
 }
 
-/// Computes output rows `[row0, row0 + rows)` of `C = Aᵀ·B` into
-/// `ov_rows`. `A: [k, m]`, `B: [k, n]`; row `i` of `C` reads column
-/// `row0 + i` of `A`.
-fn matmul_at_b_rows(
-    av: &[f32],
-    bv: &[f32],
-    ov_rows: &mut [f32],
-    row0: usize,
-    k: usize,
-    m: usize,
-    n: usize,
-) {
-    if n == 0 {
-        return;
-    }
-    let rows = ov_rows.len() / n;
-    for p in 0..k {
-        let arow = &av[p * m..(p + 1) * m];
-        let brow = &bv[p * n..(p + 1) * n];
-        for i in 0..rows {
-            let api = arow[row0 + i];
-            // ccq-lint: allow(float-eq) — exact zero skips an axpy that cannot change the output
-            if api == 0.0 {
-                continue; // axpy of zero; skip the memory traffic
-            }
-            let orow = &mut ov_rows[i * n..(i + 1) * n];
-            for (o, &b) in orow.iter_mut().zip(brow) {
-                *o += api * b;
-            }
-        }
-    }
-}
-
 /// `C = Aᵀ · B` for `A: [k, m]`, `B: [k, n]` without materializing `Aᵀ`.
-///
-/// Row-chunk parallel; bit-identical across thread counts.
 ///
 /// # Errors
 ///
@@ -353,24 +284,32 @@ pub fn matmul_at_b(a: &Tensor, b: &Tensor) -> Result<Tensor> {
     if m == 0 || n == 0 {
         return Ok(out);
     }
-    let (av, bv) = (a.as_slice(), b.as_slice());
-    let chunk = row_chunk(m, m * n * k);
-    for_each_chunk_mut(out.as_mut_slice(), chunk * n, move |ci, ov_rows| {
-        matmul_at_b_rows(av, bv, ov_rows, ci * chunk, k, m, n);
-    });
+    let (av, bv, ov) = (a.as_slice(), b.as_slice(), out.as_mut_slice());
+    for p in 0..k {
+        let brow = &bv[p * n..(p + 1) * n];
+        for (&api, orow) in av[p * m..(p + 1) * m].iter().zip(ov.chunks_exact_mut(n)) {
+            // ccq-lint: allow(float-eq) — exact zero skips an axpy that cannot change the output
+            if api == 0.0 {
+                continue; // axpy of zero; skip the memory traffic
+            }
+            for (o, &b) in orow.iter_mut().zip(brow) {
+                *o += api * b;
+            }
+        }
+    }
     Ok(out)
 }
 
-/// Computes output rows `[row0, row0 + rows)` of `C = A·Bᵀ` into
-/// `ov_rows`. `A: [m, k]`, `B: [n, k]`.
-fn matmul_a_bt_rows(av: &[f32], bv: &[f32], ov_rows: &mut [f32], row0: usize, k: usize, n: usize) {
+/// Accumulates `C = A·Bᵀ` into `ov` (all of `C`). `A: [m, k]`,
+/// `B: [n, k]`.
+fn matmul_a_bt_rows(av: &[f32], bv: &[f32], ov: &mut [f32], k: usize, n: usize) {
     if n == 0 {
         return;
     }
-    let rows = ov_rows.len() / n;
+    let rows = ov.len() / n;
     for i in 0..rows {
-        let arow = &av[(row0 + i) * k..(row0 + i + 1) * k];
-        let orow = &mut ov_rows[i * n..(i + 1) * n];
+        let arow = &av[i * k..(i + 1) * k];
+        let orow = &mut ov[i * n..(i + 1) * n];
         let mut j = 0;
         // MR dot products per pass over arow: each a[p] load feeds
         // four B rows. Each dot still accumulates over p in ascending
@@ -409,8 +348,6 @@ fn matmul_a_bt_rows(av: &[f32], bv: &[f32], ov_rows: &mut [f32], row0: usize, k:
 
 /// `C = A · Bᵀ` for `A: [m, k]`, `B: [n, k]` without materializing `Bᵀ`.
 ///
-/// Row-chunk parallel; bit-identical across thread counts.
-///
 /// # Errors
 ///
 /// Returns [`TensorError::RankMismatch`] for non-matrix inputs and
@@ -431,46 +368,21 @@ pub fn matmul_a_bt(a: &Tensor, b: &Tensor) -> Result<Tensor> {
     }
     let (av, bv) = (a.as_slice(), b.as_slice());
     if m * n * k >= PACK_MIN_FLOPS {
-        let pb = PackedB::from_bt(bv, k, n);
-        matmul_packed_dispatch(av, &pb, &mut out, m);
-        return Ok(out);
+        matmul_rows_packed(
+            av,
+            &PackedB::from_bt(bv, k, n),
+            out.as_mut_slice(),
+            &mut Vec::new(),
+        );
+    } else {
+        matmul_a_bt_rows(av, bv, out.as_mut_slice(), k, n);
     }
-    let chunk = row_chunk(m, m * n * k);
-    for_each_chunk_mut(out.as_mut_slice(), chunk * n, move |ci, ov_rows| {
-        matmul_a_bt_rows(av, bv, ov_rows, ci * chunk, k, n);
-    });
     Ok(out)
 }
 
-/// Fills output rows `[jrow0, jrow0 + rows)` of the transpose (each of
-/// length `m`) from `A: [m, n]`, tile by tile so both the strided reads
-/// and the writes stay within cache lines of a [`TRANSPOSE_TILE`]²
-/// block.
-fn transpose_rows(av: &[f32], ov_rows: &mut [f32], jrow0: usize, m: usize, n: usize) {
-    if m == 0 {
-        return;
-    }
-    let rows = ov_rows.len() / m;
-    let mut ib = 0;
-    while ib < m {
-        let ie = (ib + TRANSPOSE_TILE).min(m);
-        let mut jb = 0;
-        while jb < rows {
-            let je = (jb + TRANSPOSE_TILE).min(rows);
-            for i in ib..ie {
-                let in_row = &av[i * n..(i + 1) * n];
-                for j in jb..je {
-                    ov_rows[j * m + i] = in_row[jrow0 + j];
-                }
-            }
-            jb = je;
-        }
-        ib = ie;
-    }
-}
-
-/// Transpose of a matrix, tiled for cache locality (the naive loop's
-/// column-stride writes thrash on tall matrices) and row-chunk parallel.
+/// Transpose of a matrix, tiled for cache locality: the naive loop's
+/// column-stride writes thrash on tall matrices, so both the strided
+/// reads and the writes stay within one `TRANSPOSE_TILE`² block.
 ///
 /// # Errors
 ///
@@ -481,11 +393,19 @@ pub fn transpose2d(a: &Tensor) -> Result<Tensor> {
     if m == 0 || n == 0 {
         return Ok(out);
     }
-    let av = a.as_slice();
-    let chunk = row_chunk(n, m * n);
-    for_each_chunk_mut(out.as_mut_slice(), chunk * m, move |ci, ov_rows| {
-        transpose_rows(av, ov_rows, ci * chunk, m, n);
-    });
+    let (av, ov) = (a.as_slice(), out.as_mut_slice());
+    for ib in (0..m).step_by(TRANSPOSE_TILE) {
+        let ie = (ib + TRANSPOSE_TILE).min(m);
+        for jb in (0..n).step_by(TRANSPOSE_TILE) {
+            let je = (jb + TRANSPOSE_TILE).min(n);
+            for i in ib..ie {
+                let in_row = &av[i * n..(i + 1) * n];
+                for j in jb..je {
+                    ov[j * m + i] = in_row[j];
+                }
+            }
+        }
+    }
     Ok(out)
 }
 
@@ -597,7 +517,7 @@ mod tests {
     /// Packed-panel kernels on shapes the `PACK_MIN_FLOPS` dispatch
     /// would not normally route to them: 1×1, ragged row/column tails,
     /// and empty dims — exact match vs a naive triple loop on
-    /// integer-valued data.
+    /// integer-valued data, as is `matmul_at_b`.
     #[test]
     fn packed_kernels_match_naive_on_edge_shapes() {
         for &(m, k, n) in &[
@@ -611,12 +531,13 @@ mod tests {
             (4, 0, 4),
             (4, 3, 0),
             (33, 40, 70),
+            (96, 64, 80),
         ] {
             let a = Tensor::from_fn(&[m, k], |i| ((i * 7 + 3) % 13) as f32 - 6.0);
             let b = Tensor::from_fn(&[k, n], |i| ((i * 5 + 1) % 11) as f32 - 5.0);
             let mut packed = Tensor::zeros(&[m, n]);
             let pb = PackedB::from_b(b.as_slice(), k, n);
-            matmul_packed_dispatch(a.as_slice(), &pb, &mut packed, m);
+            matmul_rows_packed(a.as_slice(), &pb, packed.as_mut_slice(), &mut Vec::new());
             for i in 0..m {
                 for j in 0..n {
                     let mut acc = 0.0f32;
@@ -629,8 +550,15 @@ mod tests {
             let bt = transpose2d(&b).unwrap(); // [n, k]
             let mut packed_bt = Tensor::zeros(&[m, n]);
             let pbt = PackedB::from_bt(bt.as_slice(), k, n);
-            matmul_packed_dispatch(a.as_slice(), &pbt, &mut packed_bt, m);
+            matmul_rows_packed(
+                a.as_slice(),
+                &pbt,
+                packed_bt.as_mut_slice(),
+                &mut Vec::new(),
+            );
             assert_eq!(packed_bt, packed, "a_bt pack of {m}x{k}x{n}");
+            let at = transpose2d(&a).unwrap(); // [k, m]
+            assert_eq!(matmul_at_b(&at, &b).unwrap(), packed, "at_b of {m}x{k}x{n}");
         }
     }
 
@@ -643,10 +571,10 @@ mod tests {
         let a = Tensor::from_fn(&[m, k], |i| (i as f32 * 0.37 + 0.11).sin());
         let b = Tensor::from_fn(&[k, n], |i| (i as f32 * 0.53 - 0.07).cos());
         let mut unpacked = Tensor::zeros(&[m, n]);
-        matmul_rows(a.as_slice(), b.as_slice(), unpacked.as_mut_slice(), 0, k, n);
+        matmul_rows(a.as_slice(), b.as_slice(), unpacked.as_mut_slice(), k, n);
         let mut packed = Tensor::zeros(&[m, n]);
         let pb = PackedB::from_b(b.as_slice(), k, n);
-        matmul_packed_dispatch(a.as_slice(), &pb, &mut packed, m);
+        matmul_rows_packed(a.as_slice(), &pb, packed.as_mut_slice(), &mut Vec::new());
         for (x, y) in packed.as_slice().iter().zip(unpacked.as_slice()) {
             assert_eq!(x.to_bits(), y.to_bits());
         }
@@ -657,13 +585,17 @@ mod tests {
             a.as_slice(),
             bt.as_slice(),
             unpacked_bt.as_mut_slice(),
-            0,
             k,
             n,
         );
         let mut packed_bt = Tensor::zeros(&[m, n]);
         let pbt = PackedB::from_bt(bt.as_slice(), k, n);
-        matmul_packed_dispatch(a.as_slice(), &pbt, &mut packed_bt, m);
+        matmul_rows_packed(
+            a.as_slice(),
+            &pbt,
+            packed_bt.as_mut_slice(),
+            &mut Vec::new(),
+        );
         for (x, y) in packed_bt.as_slice().iter().zip(unpacked_bt.as_slice()) {
             assert_eq!(x.to_bits(), y.to_bits());
         }

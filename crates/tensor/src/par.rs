@@ -1,9 +1,10 @@
-//! The workspace's one threading module: the kernels in [`crate::ops`],
-//! batched evaluation and competition probing all split their work here.
+//! The workspace's one threading module: batched evaluation and
+//! competition probing split their work here. The kernels in
+//! [`crate::ops`] never split; they run on their caller's thread.
 //!
 //! Work is cut into contiguous, order-preserving pieces. Piece 0 runs on
 //! the calling thread and the rest on `std::thread::scope` threads, and
-//! every piece runs pinned to one thread, so nested calls stay serial.
+//! every piece runs pinned to one thread, so nested splits stay serial.
 //! Splitting is purely structural and never reorders the per-element
 //! accumulation sequence, so results are **bit-identical** at every
 //! thread count, `RAYON_NUM_THREADS=1` included.
@@ -40,11 +41,10 @@ fn threads_from_env(var: Option<&str>) -> usize {
         .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, usize::from))
 }
 
-/// Runs `f` with the parallel work it starts on this thread — kernels,
-/// evaluation, competition probes — limited to `n` threads (min 1), and
-/// restores the previous count on exit, even on panic. Serial sections
-/// pin nested kernels with `with_threads(1, …)`, and the serve daemon
-/// gives each worker its share of the CPUs. Results are bit-identical at
+/// Runs `f` with the parallel work it starts on this thread — evaluation
+/// and competition probes — limited to `n` threads (min 1), and restores
+/// the previous count on exit, even on panic. The serve daemon gives each
+/// worker its share of the CPUs this way. Results are bit-identical at
 /// every `n`; only scheduling changes.
 pub fn with_threads<R>(n: usize, f: impl FnOnce() -> R) -> R {
     struct Restore(Option<usize>);
@@ -60,8 +60,8 @@ pub fn with_threads<R>(n: usize, f: impl FnOnce() -> R) -> R {
 /// Runs `f(index, piece)` over `pieces` and returns the results in piece
 /// order. Piece 0 runs on the calling thread and every other piece on
 /// its own scoped thread; under [`num_threads`]` == 1` all of them run
-/// in order on the caller. Each piece sees `num_threads() == 1`, so the
-/// kernels it calls stay serial. Callers size `pieces` from
+/// in order on the caller. Each piece sees `num_threads() == 1`, so an
+/// evaluation it calls stays serial. Callers size `pieces` from
 /// [`num_threads`]. A panicking piece propagates once all pieces have
 /// finished.
 pub fn map_pieces<P, R, F>(pieces: Vec<P>, f: F) -> Vec<R>
@@ -95,48 +95,9 @@ where
     slots.into_iter().flatten().collect()
 }
 
-/// Runs `f(chunk_index, chunk)` over consecutive `chunk_len`-sized
-/// chunks of `data`, with indices matching
-/// `data.chunks_mut(chunk_len).enumerate()` exactly. The chunks are
-/// grouped into at most [`num_threads`] contiguous pieces of near-equal
-/// chunk count (the first pieces one longer), run by [`map_pieces`].
-pub(crate) fn for_each_chunk_mut<T, F>(data: &mut [T], chunk_len: usize, f: F)
-where
-    T: Send,
-    F: Fn(usize, &mut [T]) + Sync,
-{
-    if chunk_len == 0 || data.is_empty() {
-        return;
-    }
-    let chunks = data.len().div_ceil(chunk_len);
-    let threads = num_threads().min(chunks);
-    if threads <= 1 {
-        for (i, c) in data.chunks_mut(chunk_len).enumerate() {
-            f(i, c);
-        }
-        return;
-    }
-    let (base, rem) = (chunks / threads, chunks % threads);
-    let mut pieces = Vec::with_capacity(threads);
-    let (mut rest, mut first) = (data, 0);
-    for p in 0..threads {
-        let take = base + usize::from(p < rem);
-        let (head, tail) = rest.split_at_mut((take * chunk_len).min(rest.len()));
-        pieces.push((first, head));
-        rest = tail;
-        first += take;
-    }
-    map_pieces(pieces, |_, (first, piece)| {
-        for (j, c) in piece.chunks_mut(chunk_len).enumerate() {
-            f(first + j, c);
-        }
-    });
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use proptest::prelude::*;
 
     #[test]
     fn with_threads_scopes_and_restores_the_count() {
@@ -200,12 +161,6 @@ mod tests {
             4,
             "the caller's count is restored"
         );
-
-        let mut nested = vec![0usize; 8];
-        with_threads(4, || {
-            for_each_chunk_mut(&mut nested, 1, |_, c| c[0] = num_threads())
-        });
-        assert_eq!(nested, vec![1; 8]);
     }
 
     #[test]
@@ -237,50 +192,5 @@ mod tests {
             })
         });
         assert!(unwound.is_err());
-    }
-
-    #[test]
-    fn chunk_writes_are_disjoint() {
-        let mut v = vec![0u32; 103];
-        with_threads(4, || {
-            for_each_chunk_mut(&mut v, 10, |ci, chunk| {
-                for (j, x) in chunk.iter_mut().enumerate() {
-                    *x = (ci * 10 + j) as u32;
-                }
-            });
-        });
-        assert_eq!(v, (0..103).collect::<Vec<u32>>());
-    }
-
-    /// Tags every element with its chunk index, offset and chunk length.
-    fn tag(ci: usize, chunk: &mut [u64]) {
-        let len = chunk.len() as u64;
-        for (j, x) in chunk.iter_mut().enumerate() {
-            *x = ((ci as u64) << 32) | ((j as u64) << 16) | len;
-        }
-    }
-
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(64))]
-
-        /// At 1–8 threads the chunk runner writes exactly what a serial
-        /// `chunks_mut().enumerate()` walk writes; a zero chunk length or
-        /// empty data writes nothing.
-        #[test]
-        fn for_each_chunk_mut_matches_chunks_mut(
-            len in 0usize..200,
-            chunk_len in 0usize..24,
-            threads in 1usize..9,
-        ) {
-            let mut expect = vec![u64::MAX; len];
-            if chunk_len > 0 {
-                for (ci, c) in expect.chunks_mut(chunk_len).enumerate() {
-                    tag(ci, c);
-                }
-            }
-            let mut got = vec![u64::MAX; len];
-            with_threads(threads, || for_each_chunk_mut(&mut got, chunk_len, tag));
-            prop_assert_eq!(got, expect);
-        }
     }
 }

@@ -109,8 +109,8 @@ $SERVE run results/serve_ref --workers 1 --drain > results/serve.log 2>&1 || exi
 $SERVE status results/serve_ref --assert-done 2 >> results/serve.log 2>&1 || exit 1
 $SERVE run results/serve_kill --workers 2 >> results/serve.log 2>&1 &
 SERVE_PID=$!
-# Kill at the first autosave, not after a fixed delay: at one kernel
-# thread per worker both jobs finish in well under a second.
+# Kill at the first autosave, not after a fixed delay: at one thread
+# per worker both jobs finish in well under a second.
 for _ in $(seq 500); do
   ls results/serve_kill/running/*.ccqruns > /dev/null 2>&1 && break
   sleep 0.01
@@ -139,7 +139,8 @@ done
 
 # --- bench-smoke gate: the snapshot benchmark must run at one rep, once
 # pinned to one thread and once at the default thread count (that run
-# times every row at 1 thread and at the default), write parseable JSON, keep
+# times the competition and evaluate rows at 1 thread and at the
+# default, every other row at the default), write parseable JSON, keep
 # incremental probing no slower than full-forward probing, and keep
 # packed execution bit-exact with >=2x compression (bench_perf --smoke
 # self-checks its snapshot and enforces these floors) ---
