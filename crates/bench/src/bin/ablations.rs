@@ -8,17 +8,24 @@
 #![allow(clippy::print_stdout)]
 // ccq-lint: allow-file(panic-surface) — bench harness: aborting on setup failure is the intended UX
 
-use ccq::{CcqConfig, CcqRunner, ExpertGranularity, LambdaSchedule, ProbeRegime, RecoveryMode};
-use ccq_bench::{build_workload, fmt_pct, fmt_ratio, Scale};
+use ccq::{
+    CcqConfig, CcqRunner, ExpertGranularity, LambdaSchedule, NullSink, ProbeRegime, RecoveryMode,
+};
+use ccq_bench::{build_workload, fmt_pct, fmt_ratio, run_on_images, Scale};
 use ccq_models::ModelKind;
 use ccq_quant::{BitLadder, PolicyKind};
 
 fn run(cfg: CcqConfig, scale: Scale) -> (f32, f64, usize) {
     let workload = build_workload(scale, ModelKind::Resnet20, 10, PolicyKind::Pact, 77);
     let mut net = workload.net;
-    let rep = CcqRunner::new(cfg)
-        .run(&mut net, &workload.train, &workload.val)
-        .expect("ccq");
+    let rep = run_on_images(
+        &mut CcqRunner::new(cfg),
+        &mut net,
+        &workload.train,
+        &workload.val,
+        &mut NullSink,
+    )
+    .expect("ccq");
     let total_epochs: usize = rep.steps.iter().map(|s| s.recovery_epochs).sum();
     (rep.final_accuracy, rep.final_compression, total_epochs)
 }

@@ -15,8 +15,8 @@
 #![allow(clippy::print_stdout)]
 // ccq-lint: allow-file(panic-surface) — bench harness: aborting on setup failure is the intended UX
 
-use ccq::{CcqConfig, CcqRunner, LambdaSchedule, RecoveryMode};
-use ccq_bench::{build_workload, fmt_pct, fmt_ratio, Scale};
+use ccq::{CcqConfig, CcqRunner, LambdaSchedule, NullSink, RecoveryMode};
+use ccq_bench::{build_workload, fmt_pct, fmt_ratio, run_on_images, Scale};
 use ccq_models::ModelKind;
 use ccq_quant::{BitLadder, PolicyKind};
 
@@ -39,9 +39,8 @@ fn run_one(lambda: LambdaSchedule, scale: Scale, seed: u64) -> (f32, f64, f32, u
         ..CcqConfig::default()
     };
     let mut runner = CcqRunner::new(cfg);
-    let rep = runner
-        .run(&mut net, &workload.train, &workload.val)
-        .expect("ccq failed");
+    let (train, val) = (&workload.train, &workload.val);
+    let rep = run_on_images(&mut runner, &mut net, train, val, &mut NullSink).expect("ccq failed");
     let epochs: usize = rep.steps.iter().map(|s| s.recovery_epochs).sum();
     (
         rep.final_accuracy,

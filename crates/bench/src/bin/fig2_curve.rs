@@ -16,7 +16,7 @@
 use ccq::{
     CcqConfig, CcqRunner, CsvSink, DescentEvent, EventSink, FanoutSink, MetricsSink, RecoveryMode,
 };
-use ccq_bench::{build_workload, Scale};
+use ccq_bench::{build_workload, run_on_images, Scale};
 use ccq_models::ModelKind;
 use ccq_quant::{BitLadder, PolicyKind};
 
@@ -67,9 +67,14 @@ fn main() {
     let mut metrics = MetricsSink::wall();
     let rep = {
         let mut fan = FanoutSink::new().with(&mut curve).with(&mut metrics);
-        runner
-            .run_with_sink(&mut net, &workload.train, &workload.val, &mut fan)
-            .expect("ccq failed")
+        run_on_images(
+            &mut runner,
+            &mut net,
+            &workload.train,
+            &workload.val,
+            &mut fan,
+        )
+        .expect("ccq failed")
     };
 
     println!("# Fig. 2: CCQ learning curve (valleys = quantization, peaks = recovery)");

@@ -12,8 +12,8 @@
 #![allow(clippy::print_stdout)]
 // ccq-lint: allow-file(panic-surface) — bench harness: aborting on setup failure is the intended UX
 
-use ccq::{CcqConfig, CcqReport, CcqRunner, RecoveryMode};
-use ccq_bench::{build_workload, fmt_pct, Scale};
+use ccq::{CcqConfig, CcqReport, CcqRunner, NullSink, RecoveryMode};
+use ccq_bench::{build_workload, fmt_pct, run_on_images, Scale};
 use ccq_models::ModelKind;
 use ccq_quant::{BitLadder, PolicyKind};
 
@@ -29,9 +29,14 @@ fn run(mode: RecoveryMode, scale: Scale) -> CcqReport {
         probe_val_batches: 1,
         ..CcqConfig::default()
     };
-    CcqRunner::new(cfg)
-        .run(&mut net, &workload.train, &workload.val)
-        .expect("ccq failed")
+    run_on_images(
+        &mut CcqRunner::new(cfg),
+        &mut net,
+        &workload.train,
+        &workload.val,
+        &mut NullSink,
+    )
+    .expect("ccq failed")
 }
 
 fn main() {

@@ -14,7 +14,7 @@
 
 use ccq::baselines::{one_shot_quantize, OneShotConfig};
 use ccq::{CcqConfig, CcqRunner, LambdaSchedule, RecoveryMode};
-use ccq_bench::{build_workload, fmt_pct, Scale, SummarySink};
+use ccq_bench::{build_workload, fmt_pct, run_on_images, Scale, SummarySink};
 use ccq_models::ModelKind;
 use ccq_quant::{BitLadder, BitWidth, PolicyKind};
 
@@ -76,14 +76,14 @@ fn main() {
         };
         let mut runner = CcqRunner::new(ccq_cfg);
         let mut gradual = SummarySink::new();
-        runner
-            .run_with_sink(
-                &mut gradual_net,
-                &workload.train,
-                &workload.val,
-                &mut gradual,
-            )
-            .expect("ccq run failed");
+        run_on_images(
+            &mut runner,
+            &mut gradual_net,
+            &workload.train,
+            &workload.val,
+            &mut gradual,
+        )
+        .expect("ccq run failed");
 
         println!(
             "{policy},{},{},{},{}",

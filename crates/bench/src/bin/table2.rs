@@ -17,7 +17,7 @@
 
 use ccq::baselines::{hawq_assign, one_shot_quantize, HawqConfig, OneShotConfig};
 use ccq::{CcqConfig, CcqRunner, RecoveryMode};
-use ccq_bench::{build_workload, fmt_pct, fmt_ratio, Scale, SummarySink};
+use ccq_bench::{build_workload, fmt_pct, fmt_ratio, run_on_images, Scale, SummarySink};
 use ccq_models::ModelKind;
 use ccq_quant::{BitLadder, BitWidth, PolicyKind};
 
@@ -128,9 +128,8 @@ fn main() {
             };
             let mut runner = CcqRunner::new(cfg);
             let mut summary = SummarySink::new();
-            runner
-                .run_with_sink(&mut net, &workload.train, &workload.val, &mut summary)
-                .expect("ccq failed");
+            let (train, val) = (&workload.train, &workload.val);
+            run_on_images(&mut runner, &mut net, train, val, &mut summary).expect("ccq failed");
             println!(
                 "{},PACT+CCQ,MP,{},{},{},{:.2}",
                 arch.label,

@@ -6,10 +6,10 @@
 //! environment-variable scaling knobs, and the timing helpers of the
 //! `bench_perf` snapshot.
 
-use ccq::{DescentEvent, EventSink};
+use ccq::{CcqReport, CcqRunner, DescentEvent, EventSink};
 use ccq_data::{synth_cifar, Augment, ImageDataset, SynthCifarConfig};
 use ccq_models::{ModelConfig, ModelKind};
-use ccq_nn::train::{evaluate, train_epoch, Batch};
+use ccq_nn::train::{evaluate, train_epoch};
 use ccq_nn::{Network, Sgd};
 use ccq_quant::PolicyKind;
 use ccq_tensor::rng;
@@ -173,11 +173,31 @@ pub fn build_workload(
     }
 }
 
+/// Runs CCQ over image splits the way every harness binary does: the
+/// validation split in `batch_size` batches, and training batches
+/// rebuilt with [`Augment::standard`] before every collaboration stage.
+///
+/// # Errors
+///
+/// Whatever [`CcqRunner::run`] returns.
+pub fn run_on_images(
+    runner: &mut CcqRunner,
+    net: &mut Network,
+    train: &ImageDataset,
+    val: &ImageDataset,
+    sink: &mut dyn EventSink,
+) -> ccq::Result<CcqReport> {
+    let batch_size = runner.config().batch_size;
+    let augment = Augment::standard();
+    let mut provider = |r: &mut _| train.augmented_batches(batch_size, &augment, r);
+    runner.run(net, &mut provider, &val.batches(batch_size), sink)
+}
+
 /// The headline numbers of a CCQ run, folded out of its
 /// [`DescentEvent`] stream — how the table binaries read results without
 /// poking at report internals.
 ///
-/// Attach to [`ccq::CcqRunner::run_with_sink`]; after the run, the
+/// Attach to [`ccq::CcqRunner::run`]; after the run, the
 /// baseline/final accuracies, compression, and bit pattern mirror the
 /// matching [`ccq::CcqReport`] fields exactly (both come from the same
 /// [`DescentEvent::Finished`] terminal event).
@@ -229,12 +249,6 @@ impl EventSink for SummarySink {
             _ => {}
         }
     }
-}
-
-/// Convenience: training batches without augmentation (evaluation-style
-/// stacking) — used by baselines that take `&[Batch]`.
-pub fn plain_batches(ds: &ImageDataset, batch_size: usize) -> Vec<Batch> {
-    ds.batches(batch_size)
 }
 
 /// Formats a ratio like `10.27x`.

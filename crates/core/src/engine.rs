@@ -187,10 +187,7 @@ impl<'a> DescentEngine<'a> {
         sink: &'a mut dyn EventSink,
         start: StartPoint,
     ) -> Result<Self> {
-        if val.is_empty() {
-            return Err(CcqError::EmptyValidationSet);
-        }
-        config.validate()?;
+        check_inputs(config, val)?;
         let collab = if config.use_hybrid_lr {
             Collaboration::new(config.recovery)
         } else {
@@ -307,12 +304,6 @@ impl<'a> DescentEngine<'a> {
     /// [`crate::MetricsRegistry::record_probe_cache`] after the run.
     pub fn probe_cache_stats(&self) -> &crate::ProbeCacheStats {
         self.searcher.cache_stats()
-    }
-
-    /// The quantization step `t` currently in flight (0 before the first
-    /// [`Phase::Compete`]).
-    pub fn current_step(&self) -> usize {
-        self.t
     }
 
     /// The learning-curve points collected so far.
@@ -702,7 +693,7 @@ impl<'a> DescentEngine<'a> {
                 inject_nan(n);
             }
         };
-        let rec = self.st.collab.recover_with_hook(
+        let rec = self.st.collab.recover(
             self.net,
             &train,
             self.val,
@@ -805,6 +796,15 @@ fn expert_slots(granularity: ExpertGranularity, layers: usize) -> usize {
         ExpertGranularity::Layer => layers,
         ExpertGranularity::WeightAct => 2 * layers,
     }
+}
+
+/// The input checks every way into a descent shares, in order: an empty
+/// validation set, then [`CcqConfig::validate`].
+pub(crate) fn check_inputs(config: &CcqConfig, val: &[Batch]) -> Result<()> {
+    if val.is_empty() {
+        return Err(CcqError::EmptyValidationSet);
+    }
+    config.validate()
 }
 
 /// Rejects a [`RunState`] whose configuration fingerprint or network

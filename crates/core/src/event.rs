@@ -261,11 +261,6 @@ impl TraceBuffer {
         &self.steps
     }
 
-    /// Consumes the buffer, returning `(trace, steps)`.
-    pub fn into_parts(self) -> (Vec<TracePoint>, Vec<StepRecord>) {
-        (self.trace, self.steps)
-    }
-
     /// The learning curve as CSV — same bytes as
     /// [`crate::CcqReport::trace_csv`].
     pub fn trace_csv(&self) -> String {
@@ -383,7 +378,7 @@ impl EventSink for CsvSink {
 /// let mut csv = CsvSink::new();
 /// let mut metrics = MetricsSink::manual(1_000);
 /// let mut sink = FanoutSink::new().with(&mut csv).with(&mut metrics);
-/// // runner.run_with_sink(&mut net, &train, &val, &mut sink)?;
+/// // runner.run(&mut net, &mut provider, &val, &mut sink)?;
 /// # let _ = &mut sink;
 /// ```
 #[derive(Default)]

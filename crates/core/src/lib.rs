@@ -28,15 +28,17 @@
 //! # Example
 //!
 //! ```no_run
-//! use ccq::{CcqConfig, CcqRunner};
-//! use ccq_data::{synth_cifar, SynthCifarConfig};
+//! use ccq::{CcqConfig, CcqRunner, NullSink};
+//! use ccq_data::{synth_cifar, Augment, SynthCifarConfig};
 //! use ccq_models::{resnet20, ModelConfig};
 //!
 //! let data = synth_cifar(&SynthCifarConfig::default());
 //! let (train, val) = data.split_at(512);
 //! let mut net = resnet20(&ModelConfig::default());
 //! let mut runner = CcqRunner::new(CcqConfig::default());
-//! let report = runner.run(&mut net, &train, &val)?;
+//! let batch = runner.config().batch_size;
+//! let mut provider = |r: &mut _| train.augmented_batches(batch, &Augment::standard(), r);
+//! let report = runner.run(&mut net, &mut provider, &val.batches(batch), &mut NullSink)?;
 //! println!("compression {:.1}x at {:.1}% accuracy",
 //!          report.final_compression, 100.0 * report.final_accuracy);
 //! # Ok::<(), ccq::CcqError>(())

@@ -104,36 +104,17 @@ impl Collaboration {
 
     /// Runs the stage: fine-tunes `net` on `train` epochs until the mode's
     /// stopping rule fires. `threshold_acc` is the accuracy the adaptive
-    /// mode tries to reach (ignored by manual mode).
+    /// mode tries to reach (ignored by manual mode). `hook`, when given,
+    /// runs before every epoch (fault injection). A non-finite training
+    /// loss or validation accuracy ends the stage immediately with
+    /// `diverged = true` instead of burning the remaining epoch budget on
+    /// a poisoned network.
     ///
     /// # Errors
     ///
     /// Propagates network errors from training or evaluation.
     #[allow(clippy::too_many_arguments)]
     pub fn recover(
-        &self,
-        net: &mut Network,
-        train: &[Batch],
-        val: &[Batch],
-        threshold_acc: f32,
-        opt: &mut Sgd,
-        hybrid: &mut HybridRestart,
-        rng: &mut Rng64,
-    ) -> Result<RecoveryRecord> {
-        self.recover_with_hook(net, train, val, threshold_acc, opt, hybrid, rng, None)
-    }
-
-    /// [`Collaboration::recover`] with an optional per-epoch hook (fault
-    /// injection) and an explicit divergence bail-out: a non-finite
-    /// training loss or validation accuracy ends the stage immediately
-    /// with `diverged = true` instead of burning the remaining epoch
-    /// budget on a poisoned network.
-    ///
-    /// # Errors
-    ///
-    /// Propagates network errors from training or evaluation.
-    #[allow(clippy::too_many_arguments)]
-    pub fn recover_with_hook(
         &self,
         net: &mut Network,
         train: &[Batch],
@@ -233,6 +214,7 @@ mod tests {
                 &mut opt,
                 &mut hybrid,
                 &mut rng(1),
+                None,
             )
             .unwrap();
         assert_eq!(rec.epochs, 3);
@@ -259,6 +241,7 @@ mod tests {
                 &mut opt,
                 &mut hybrid,
                 &mut rng(2),
+                None,
             )
             .unwrap();
         assert_eq!(rec.epochs, 1);
@@ -283,6 +266,7 @@ mod tests {
                 &mut opt,
                 &mut hybrid,
                 &mut rng(3),
+                None,
             )
             .unwrap();
         assert_eq!(rec.epochs, 2);
@@ -312,7 +296,7 @@ mod tests {
             }
         };
         let rec = collab
-            .recover_with_hook(
+            .recover(
                 &mut net,
                 &train,
                 &val,
@@ -345,6 +329,7 @@ mod tests {
                 &mut opt,
                 &mut hybrid,
                 &mut rng(4),
+                None,
             )
             .unwrap();
         assert!(
@@ -369,6 +354,7 @@ mod tests {
                 &mut opt,
                 &mut hybrid,
                 &mut rng(5),
+                None,
             )
             .unwrap();
         assert!(rec.trace.iter().all(|e| (e.lr - 0.01).abs() < 1e-9));

@@ -1,8 +1,8 @@
 //! The CCQ front door: configuration, report, and the [`CcqRunner`]
-//! compatibility wrappers over the staged [`DescentEngine`].
+//! entry points over the staged [`DescentEngine`].
 
-use crate::engine::{DescentEngine, StartPoint};
-use crate::event::{render_schedule_csv, render_trace_csv, EventSink, NullSink};
+use crate::engine::{check_inputs, DescentEngine, StartPoint};
+use crate::event::{render_schedule_csv, render_trace_csv, EventSink};
 use crate::fault::FaultPlan;
 use crate::run_state::RunState;
 use crate::searcher::{Searcher, SearcherKind};
@@ -10,7 +10,6 @@ use crate::{
     CcqError, ExpertGranularity, GuardPolicy, LambdaSchedule, ProbeRegime, RecoveryMode, Result,
     StepRecord, TracePoint,
 };
-use ccq_data::{Augment, ImageDataset};
 use ccq_nn::train::Batch;
 use ccq_nn::Network;
 use ccq_quant::{BitLadder, BitWidth};
@@ -63,11 +62,9 @@ pub struct CcqConfig {
     /// never descends below `targets[m]`; full-precision targets freeze the
     /// layer entirely.
     pub targets: Option<Vec<BitWidth>>,
-    /// Minibatch size used when the runner builds batches from a dataset.
+    /// Minibatch size for callers that build batches from a dataset.
     /// Must be at least 1 — see [`CcqConfig::validate`].
     pub batch_size: usize,
-    /// Augmentation used when the runner builds training batches.
-    pub augment: Augment,
     /// Master seed (sampling, shuffling, augmentation).
     pub seed: u64,
     /// Divergence guard: what to do when a quantization step produces a
@@ -83,8 +80,8 @@ pub struct CcqConfig {
 }
 
 impl CcqConfig {
-    /// Checks the invariants a run relies on; every driver calls this
-    /// once before touching data.
+    /// Checks the invariants a run relies on; every entry point calls
+    /// this once before touching data.
     ///
     /// # Errors
     ///
@@ -120,7 +117,6 @@ impl Default for CcqConfig {
             target_compression: None,
             targets: None,
             batch_size: 32,
-            augment: Augment::standard(),
             seed: 0,
             guard: GuardPolicy::default(),
             autosave: None,
@@ -196,10 +192,10 @@ impl fmt::Display for CcqReport {
 
 /// Orchestrates the competition/collaboration loop over a network.
 ///
-/// The four `run`/`resume` entry points are thin wrappers over one
-/// generic driver ([`CcqRunner::drive`]) parameterized by a
-/// [`StartPoint`]; attach an [`EventSink`] through the `*_with_sink`
-/// variants or single-step the machine via [`CcqRunner::engine`].
+/// [`CcqRunner::run`] and [`CcqRunner::resume`] step a
+/// [`DescentEngine`] to completion from a fresh start or a saved
+/// [`RunState`]; [`CcqRunner::engine`] hands the machine out for
+/// single-stepping. All three check their inputs the same way.
 #[derive(Debug)]
 pub struct CcqRunner {
     config: CcqConfig,
@@ -276,7 +272,8 @@ impl CcqRunner {
 
     /// Builds a [`DescentEngine`] borrowing this runner's configuration
     /// and searcher, for callers that want to single-step the phase
-    /// machine. [`CcqRunner::drive`] is the run-to-completion shortcut.
+    /// machine. [`CcqRunner::run`] and [`CcqRunner::resume`] are the
+    /// run-to-completion shortcuts.
     ///
     /// # Errors
     ///
@@ -303,156 +300,56 @@ impl CcqRunner {
         Ok(engine.with_faults(self.fault.as_ref()))
     }
 
-    /// The generic driver every public entry point funnels into: builds
-    /// an engine at `start` and steps it to completion, streaming events
-    /// into `sink`.
+    /// Runs CCQ from scratch, streaming events into `sink`.
+    /// `train_provider` builds the training batches before every
+    /// collaboration stage; `val` is the validation set.
+    ///
+    /// The network should arrive *pre-trained at full precision*; the
+    /// runner measures it as the baseline and then walks the bit ladder.
+    /// Sinks compose: wrap several observers in a [`crate::FanoutSink`]
+    /// to stream CSV, JSONL, and derived metrics ([`crate::MetricsSink`])
+    /// from one run without re-running it.
     ///
     /// # Errors
     ///
     /// Same contract as [`CcqRunner::engine`] plus anything a run can
     /// surface ([`CcqError::Diverged`], [`CcqError::CheckpointIo`], …).
-    pub fn drive(
-        &mut self,
-        net: &mut Network,
-        train_provider: &mut dyn FnMut(&mut Rng64) -> Vec<Batch>,
-        val: &[Batch],
-        start: StartPoint,
-        sink: &mut dyn EventSink,
-    ) -> Result<CcqReport> {
-        self.engine(net, train_provider, val, sink, start)?
-            .run_to_completion()
-    }
-
-    /// Runs CCQ over image datasets: training batches are rebuilt with
-    /// augmentation before every collaboration stage.
-    ///
-    /// The network should arrive *pre-trained at full precision*; the
-    /// runner measures it as the baseline and then walks the bit ladder.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`CcqError`] on empty validation data or network failure.
     pub fn run(
         &mut self,
         net: &mut Network,
-        train: &ImageDataset,
-        val: &ImageDataset,
-    ) -> Result<CcqReport> {
-        self.run_with_sink(net, train, val, &mut NullSink)
-    }
-
-    /// [`CcqRunner::run`] with an [`EventSink`] observing the descent.
-    ///
-    /// Sinks compose: wrap several observers in a
-    /// [`crate::FanoutSink`] to stream CSV, JSONL, and derived metrics
-    /// ([`crate::MetricsSink`]) from one run without re-running it.
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`CcqRunner::run`].
-    pub fn run_with_sink(
-        &mut self,
-        net: &mut Network,
-        train: &ImageDataset,
-        val: &ImageDataset,
-        sink: &mut dyn EventSink,
-    ) -> Result<CcqReport> {
-        self.config.validate()?;
-        let val_batches = val.batches(self.config.batch_size);
-        let (batch_size, augment) = (self.config.batch_size, self.config.augment);
-        let mut provider =
-            |r: &mut Rng64| -> Vec<Batch> { train.augmented_batches(batch_size, &augment, r) };
-        self.drive(net, &mut provider, &val_batches, StartPoint::Fresh, sink)
-    }
-
-    /// Runs CCQ with an explicit per-stage batch provider (generic data).
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`CcqError`] on empty validation data or network failure.
-    pub fn run_with_sources(
-        &mut self,
-        net: &mut Network,
         train_provider: &mut dyn FnMut(&mut Rng64) -> Vec<Batch>,
         val: &[Batch],
+        sink: &mut dyn EventSink,
     ) -> Result<CcqReport> {
-        self.drive(net, train_provider, val, StartPoint::Fresh, &mut NullSink)
+        self.engine(net, train_provider, val, sink, StartPoint::Fresh)?
+            .run_to_completion()
     }
 
     /// Resumes a run from a [`RunState`] autosaved by a previous
     /// (possibly crashed) run of the *same* configuration over a
     /// structurally identical, freshly built network. The continued run
-    /// is bit-for-bit identical to one that never stopped.
+    /// is bit-for-bit identical to one that never stopped; `sink` sees
+    /// only events from the resume point on.
     ///
     /// # Errors
     ///
-    /// Returns [`CcqError::CheckpointIo`] when neither the state file nor
-    /// its `.prev` generation loads, and [`CcqError::ResumeMismatch`]
-    /// when the saved run does not match this configuration or network.
+    /// Checks the inputs before it reads `path`, so an empty `val` or an
+    /// invalid configuration fails as in [`CcqRunner::run`]. Returns
+    /// [`CcqError::CheckpointIo`] when neither the state file nor its
+    /// `.prev` generation loads, and [`CcqError::ResumeMismatch`] when
+    /// the saved run does not match this configuration or network.
     pub fn resume(
-        &mut self,
-        path: &Path,
-        net: &mut Network,
-        train: &ImageDataset,
-        val: &ImageDataset,
-    ) -> Result<CcqReport> {
-        self.resume_with_sink(path, net, train, val, &mut NullSink)
-    }
-
-    /// [`CcqRunner::resume`] with an [`EventSink`] observing the
-    /// continuation (the sink sees only events from the resume point on).
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`CcqRunner::resume`].
-    pub fn resume_with_sink(
-        &mut self,
-        path: &Path,
-        net: &mut Network,
-        train: &ImageDataset,
-        val: &ImageDataset,
-        sink: &mut dyn EventSink,
-    ) -> Result<CcqReport> {
-        self.config.validate()?;
-        let val_batches = val.batches(self.config.batch_size);
-        let (batch_size, augment) = (self.config.batch_size, self.config.augment);
-        let mut provider =
-            |r: &mut Rng64| -> Vec<Batch> { train.augmented_batches(batch_size, &augment, r) };
-        if val_batches.is_empty() {
-            return Err(CcqError::EmptyValidationSet);
-        }
-        let state = self.load_state(path)?;
-        self.drive(
-            net,
-            &mut provider,
-            &val_batches,
-            StartPoint::FromRunState(Box::new(state)),
-            sink,
-        )
-    }
-
-    /// [`CcqRunner::resume`] with an explicit per-stage batch provider.
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`CcqRunner::resume`].
-    pub fn resume_with_sources(
         &mut self,
         path: &Path,
         net: &mut Network,
         train_provider: &mut dyn FnMut(&mut Rng64) -> Vec<Batch>,
         val: &[Batch],
+        sink: &mut dyn EventSink,
     ) -> Result<CcqReport> {
-        if val.is_empty() {
-            return Err(CcqError::EmptyValidationSet);
-        }
+        check_inputs(&self.config, val)?;
         let state = self.load_state(path)?;
-        self.drive(
-            net,
-            train_provider,
-            val,
-            StartPoint::FromRunState(Box::new(state)),
-            &mut NullSink,
-        )
+        let start = StartPoint::FromRunState(Box::new(state));
+        self.engine(net, train_provider, val, sink, start)?
+            .run_to_completion()
     }
 }

@@ -7,7 +7,7 @@
 use ccq::event::event_json;
 use ccq::{
     CcqConfig, CcqReport, CcqRunner, CsvSink, DescentEvent, EventSink, ExpertKind, FanoutSink,
-    JsonlSink, LambdaSchedule, Phase, ProbeRecord, RecoveryMode, StartPoint, StepOutcome,
+    JsonlSink, LambdaSchedule, NullSink, Phase, ProbeRecord, RecoveryMode, StartPoint, StepOutcome,
     StepRecord, TraceBuffer,
 };
 use ccq_data::{gaussian_blobs, BlobsConfig};
@@ -62,9 +62,7 @@ fn run_with_all_sinks() -> (CcqReport, TraceBuffer, CsvSink, String) {
             .with(&mut csv)
             .with(&mut jsonl);
         assert_eq!(fan.len(), 3);
-        runner
-            .drive(&mut net, &mut provider, &val, StartPoint::Fresh, &mut fan)
-            .unwrap()
+        runner.run(&mut net, &mut provider, &val, &mut fan).unwrap()
     };
     assert!(jsonl.io_error().is_none());
     let lines = String::from_utf8(jsonl.into_inner()).unwrap();
@@ -251,7 +249,7 @@ fn stepped_engine_walks_the_documented_phase_sequence() {
     let (mut net, train, val) = setup();
     let mut runner = CcqRunner::new(fast_config());
     let mut provider = move |_: &mut Rng64| train.clone();
-    let mut sink = ccq::NullSink;
+    let mut sink = NullSink;
     let mut engine = runner
         .engine(&mut net, &mut provider, &val, &mut sink, StartPoint::Fresh)
         .unwrap();

@@ -5,7 +5,8 @@
 
 use ccq::fault::{corrupt_byte, truncate_file};
 use ccq::{
-    CcqConfig, CcqError, CcqRunner, FaultPlan, GuardPolicy, LambdaSchedule, RecoveryMode, RunState,
+    CcqConfig, CcqError, CcqRunner, FaultPlan, GuardPolicy, LambdaSchedule, NullSink, RecoveryMode,
+    RunState,
 };
 use ccq_data::{gaussian_blobs, BlobsConfig};
 use ccq_models::mlp;
@@ -62,7 +63,7 @@ fn nan_injection_rolls_back_and_the_run_completes() {
     runner.inject_faults(FaultPlan::new().nan_grad_at(1, 0));
     let mut provider = move |_: &mut Rng64| train.clone();
     let report = runner
-        .run_with_sources(&mut net, &mut provider, &val)
+        .run(&mut net, &mut provider, &val, &mut NullSink)
         .unwrap();
     assert!(
         runner.fault_plan().unwrap().exhausted(),
@@ -91,7 +92,7 @@ fn quarantine_redraws_a_different_expert_and_completes() {
     runner.inject_faults(FaultPlan::new().nan_grad_at(1, 0));
     let mut provider = move |_: &mut Rng64| train.clone();
     let report = runner
-        .run_with_sources(&mut net, &mut provider, &val)
+        .run(&mut net, &mut provider, &val, &mut NullSink)
         .unwrap();
     assert!(runner.fault_plan().unwrap().exhausted());
     assert!(net.all_finite());
@@ -116,7 +117,7 @@ fn exhausted_retries_surface_a_diverged_error() {
     runner.inject_faults(FaultPlan::new().nan_grad_at(1, 0).nan_grad_at(1, 0));
     let mut provider = move |_: &mut Rng64| train.clone();
     let err = runner
-        .run_with_sources(&mut net, &mut provider, &val)
+        .run(&mut net, &mut provider, &val, &mut NullSink)
         .unwrap_err();
     assert_eq!(
         err,
@@ -136,7 +137,7 @@ fn guard_off_preserves_the_unguarded_poisoned_behavior() {
     runner.inject_faults(FaultPlan::new().nan_grad_at(1, 0));
     let mut provider = move |_: &mut Rng64| train.clone();
     let report = runner
-        .run_with_sources(&mut net, &mut provider, &val)
+        .run(&mut net, &mut provider, &val, &mut NullSink)
         .unwrap();
     assert!(
         !net.all_finite(),
@@ -156,7 +157,7 @@ fn failed_autosave_writes_are_retried_until_one_succeeds() {
     runner.inject_faults(FaultPlan::new().fail_writes(2));
     let mut provider = move |_: &mut Rng64| train.clone();
     let report = runner
-        .run_with_sources(&mut net, &mut provider, &val)
+        .run(&mut net, &mut provider, &val, &mut NullSink)
         .unwrap();
     assert!(runner.fault_plan().unwrap().exhausted());
     // The final autosave reflects the completed run.
@@ -174,7 +175,7 @@ fn write_failures_beyond_the_retry_budget_error_out() {
     runner.inject_faults(FaultPlan::new().fail_writes(2));
     let mut provider = move |_: &mut Rng64| train.clone();
     let err = runner
-        .run_with_sources(&mut net, &mut provider, &val)
+        .run(&mut net, &mut provider, &val, &mut NullSink)
         .unwrap_err();
     assert!(matches!(err, CcqError::CheckpointIo(_)), "got {err:?}");
 }
@@ -188,7 +189,7 @@ fn last_good_generation_survives_a_torn_current_file() {
     let mut runner = CcqRunner::new(cfg);
     let mut provider = move |_: &mut Rng64| train.clone();
     runner
-        .run_with_sources(&mut net, &mut provider, &val)
+        .run(&mut net, &mut provider, &val, &mut NullSink)
         .unwrap();
     let current = RunState::load(&path).unwrap();
     let prev = RunState::load(&prev_path(&path)).unwrap();
@@ -216,14 +217,14 @@ fn injected_read_faults_reach_the_resume_load() {
     let t = train.clone();
     let mut provider = move |_: &mut Rng64| t.clone();
     let report = CcqRunner::new(cfg)
-        .run_with_sources(&mut net, &mut provider, &val)
+        .run(&mut net, &mut provider, &val, &mut NullSink)
         .unwrap();
     let resume = |plan: FaultPlan| {
         let mut runner = CcqRunner::new(fast_config());
         runner.inject_faults(plan);
         let t = train.clone();
         let mut provider = move |_: &mut Rng64| t.clone();
-        let result = runner.resume_with_sources(&path, &mut setup().0, &mut provider, &val);
+        let result = runner.resume(&path, &mut setup().0, &mut provider, &val, &mut NullSink);
         assert!(runner.fault_plan().unwrap().exhausted());
         result
     };

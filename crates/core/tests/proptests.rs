@@ -1,6 +1,6 @@
 //! Property-based tests for the CCQ framework invariants.
 
-use ccq::{CcqConfig, CcqRunner, Competition, LambdaSchedule, ProbeRegime, RecoveryMode};
+use ccq::{CcqConfig, CcqRunner, Competition, LambdaSchedule, NullSink, ProbeRegime, RecoveryMode};
 use ccq_data::{gaussian_blobs, BlobsConfig};
 use ccq_models::mlp;
 use ccq_nn::train::Batch;
@@ -148,7 +148,7 @@ proptest! {
             };
             let mut provider = move |_: &mut Rng64| train_b.clone();
             CcqRunner::new(cfg)
-                .run_with_sources(&mut net, &mut provider, &val_b)
+                .run(&mut net, &mut provider, &val_b, &mut NullSink)
                 .expect("run")
         };
         let a = run();

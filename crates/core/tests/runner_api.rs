@@ -1,7 +1,9 @@
 //! The pre-engine `CcqRunner` unit suite, unchanged in substance: these
 //! tests pin the public run/report behavior across the engine refactor.
 
-use ccq::{CcqConfig, CcqError, CcqRunner, LambdaSchedule, RecoveryMode, TraceEvent};
+use ccq::{
+    CcqConfig, CcqError, CcqRunner, FaultPlan, LambdaSchedule, NullSink, RecoveryMode, TraceEvent,
+};
 use ccq_data::{gaussian_blobs, BlobsConfig};
 use ccq_models::mlp;
 use ccq_nn::train::Batch;
@@ -47,7 +49,7 @@ fn full_run_quantizes_every_layer_to_the_floor() {
     let mut runner = CcqRunner::new(fast_config());
     let mut provider = move |_: &mut Rng64| train.clone();
     let report = runner
-        .run_with_sources(&mut net, &mut provider, &val)
+        .run(&mut net, &mut provider, &val, &mut NullSink)
         .unwrap();
     // Initialization already puts every layer at 8b; one descent to 4b
     // remains per layer.
@@ -75,7 +77,7 @@ fn trace_has_valleys_and_recoveries() {
     let mut runner = CcqRunner::new(fast_config());
     let mut provider = move |_: &mut Rng64| train.clone();
     let report = runner
-        .run_with_sources(&mut net, &mut provider, &val)
+        .run(&mut net, &mut provider, &val, &mut NullSink)
         .unwrap();
     let quant_points = report
         .trace
@@ -107,7 +109,7 @@ fn compression_target_stops_early() {
     let mut runner = CcqRunner::new(cfg);
     let mut provider = move |_: &mut Rng64| train.clone();
     let report = runner
-        .run_with_sources(&mut net, &mut provider, &val)
+        .run(&mut net, &mut provider, &val, &mut NullSink)
         .unwrap();
     assert!(report.final_compression >= 4.5);
     assert!(
@@ -125,7 +127,7 @@ fn target_mode_reaches_exact_pattern() {
     let mut runner = CcqRunner::new(cfg);
     let mut provider = move |_: &mut Rng64| train.clone();
     let report = runner
-        .run_with_sources(&mut net, &mut provider, &val)
+        .run(&mut net, &mut provider, &val, &mut NullSink)
         .unwrap();
     assert_eq!(report.bit_assignment[0].1, BitWidth::FP32);
     assert_eq!(report.bit_assignment[1].1, BitWidth::of(3));
@@ -141,23 +143,48 @@ fn rejects_mismatched_targets() {
     let mut runner = CcqRunner::new(cfg);
     let mut provider = move |_: &mut Rng64| train.clone();
     assert!(matches!(
-        runner.run_with_sources(&mut net, &mut provider, &val),
+        runner.run(&mut net, &mut provider, &val, &mut NullSink),
         Err(CcqError::InvalidConfig(_))
     ));
 }
 
+/// Bad input fails every entry point the same way — an empty validation
+/// set first, then an invalid config — and `resume` fails before it
+/// reads its state file: the path does not exist (a load would return
+/// `CheckpointIo`) and an armed read fault stays unconsumed.
 #[test]
-fn rejects_zero_batch_size() {
+fn rejects_bad_inputs_before_reading_the_state() {
     let (mut net, train, val) = trained_mlp_and_data();
-    let mut cfg = fast_config();
-    cfg.batch_size = 0;
-    assert!(matches!(cfg.validate(), Err(CcqError::InvalidConfig(_))));
-    let mut runner = CcqRunner::new(cfg);
-    let mut provider = move |_: &mut Rng64| train.clone();
-    assert!(matches!(
-        runner.run_with_sources(&mut net, &mut provider, &val),
-        Err(CcqError::InvalidConfig(_))
-    ));
+    let path = std::env::temp_dir().join("ccq_runner_api_no_such_state.ccqruns");
+    let cases: [(usize, &[Batch], CcqError); 3] = [
+        (
+            0,
+            &val,
+            CcqError::InvalidConfig("batch_size must be >= 1".into()),
+        ),
+        (32, &[], CcqError::EmptyValidationSet),
+        (0, &[], CcqError::EmptyValidationSet),
+    ];
+    for (batch_size, val, want) in cases {
+        let cfg = CcqConfig {
+            batch_size,
+            ..fast_config()
+        };
+        assert_eq!(cfg.validate().is_ok(), batch_size > 0);
+        let mut runner = CcqRunner::new(cfg);
+        runner.inject_faults(FaultPlan::new().fail_reads(1));
+        let t = train.clone();
+        let mut provider = move |_: &mut Rng64| t.clone();
+        let ran = runner.run(&mut net, &mut provider, val, &mut NullSink);
+        assert_eq!(ran.unwrap_err(), want, "run, batch_size {batch_size}");
+        let resumed = runner.resume(&path, &mut net, &mut provider, val, &mut NullSink);
+        assert_eq!(
+            resumed.unwrap_err(),
+            want,
+            "resume, batch_size {batch_size}"
+        );
+        assert!(!runner.fault_plan().unwrap().exhausted());
+    }
 }
 
 #[test]
@@ -173,7 +200,7 @@ fn quantized_accuracy_stays_near_baseline() {
     let mut runner = CcqRunner::new(cfg);
     let mut provider = move |_: &mut Rng64| train.clone();
     let report = runner
-        .run_with_sources(&mut net, &mut provider, &val)
+        .run(&mut net, &mut provider, &val, &mut NullSink)
         .unwrap();
     assert!(
         report.degradation() < 0.10,
@@ -190,7 +217,7 @@ fn report_display_is_informative() {
     let mut runner = CcqRunner::new(fast_config());
     let mut provider = move |_: &mut Rng64| train.clone();
     let report = runner
-        .run_with_sources(&mut net, &mut provider, &val)
+        .run(&mut net, &mut provider, &val, &mut NullSink)
         .unwrap();
     let s = report.to_string();
     assert!(s.contains("compression"));

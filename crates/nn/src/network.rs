@@ -347,13 +347,6 @@ impl Network {
         self.packed_at = Some((self.generation, specs));
     }
 
-    /// Removes all packed weights, returning the network to pure
-    /// fake-quant execution.
-    pub fn clear_packed(&mut self) {
-        self.root.visit_quant(&mut |h| *h.packed = None);
-        self.packed_at = None;
-    }
-
     /// Whether packed weights are installed and marked current.
     pub fn is_packed(&self) -> bool {
         self.packed_at.is_some()
@@ -608,13 +601,6 @@ mod tests {
             }) => assert_eq!(packed_generation, net_generation),
             other => panic!("expected StalePack, got {other:?}"),
         }
-        // Clearing returns the net to fake-quant execution.
-        n.clear_packed();
-        assert!(!n.is_packed());
-        assert!(matches!(
-            n.forward_packed(&x, PackedExec::Dequant),
-            Err(NnError::InvalidConfig(_))
-        ));
     }
 
     #[test]

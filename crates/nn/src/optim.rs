@@ -2,6 +2,9 @@
 
 use crate::Network;
 
+/// L2 decay applied to PACT `α` values on every step.
+const ALPHA_DECAY: f32 = 2e-4;
+
 /// SGD with momentum and decoupled per-parameter weight decay, plus the
 /// PACT `α` update (PACT's clipping values are learnable scalars that ride
 /// along with the regular parameters).
@@ -21,7 +24,6 @@ pub struct Sgd {
     lr: f32,
     momentum: f32,
     weight_decay: f32,
-    alpha_decay: f32,
 }
 
 impl Sgd {
@@ -31,7 +33,6 @@ impl Sgd {
             lr,
             momentum: 0.0,
             weight_decay: 0.0,
-            alpha_decay: 2e-4,
         }
     }
 
@@ -44,12 +45,6 @@ impl Sgd {
     /// Sets the L2 weight decay (builder style).
     pub fn weight_decay(mut self, weight_decay: f32) -> Self {
         self.weight_decay = weight_decay;
-        self
-    }
-
-    /// Sets the L2 decay applied to PACT `α` values (builder style).
-    pub fn alpha_decay(mut self, alpha_decay: f32) -> Self {
-        self.alpha_decay = alpha_decay;
         self
     }
 
@@ -84,9 +79,9 @@ impl Sgd {
             }
             p.grad.fill(0.0);
         });
-        let (alr, adecay) = (self.lr, self.alpha_decay);
+        let alr = self.lr;
         net.visit_quant(&mut |h| {
-            h.quant.step_alpha(alr, adecay);
+            h.quant.step_alpha(alr, ALPHA_DECAY);
         });
     }
 }

@@ -111,12 +111,6 @@ impl LayerQuant {
         self.spec = spec;
     }
 
-    /// Sets both bit widths, keeping the policy.
-    pub fn set_bits(&mut self, weight_bits: BitWidth, act_bits: BitWidth) {
-        self.spec.weight_bits = weight_bits;
-        self.spec.act_bits = act_bits;
-    }
-
     /// The learned activation clipping value (PACT/SAWB only meaningfully).
     pub fn alpha(&self) -> f32 {
         self.alpha
@@ -537,14 +531,6 @@ mod tests {
             let mask = lq.weight_grad_mask(&x).expect("pruned mask");
             assert_eq!(mask.as_slice(), &[0.0; 3], "{policy}");
         }
-    }
-
-    #[test]
-    fn set_bits_updates_spec() {
-        let mut lq = LayerQuant::new(spec(PolicyKind::Pact, 8, 8));
-        lq.set_bits(BitWidth::of(4), BitWidth::of(3));
-        assert_eq!(lq.spec().weight_bits, BitWidth::of(4));
-        assert_eq!(lq.spec().act_bits, BitWidth::of(3));
     }
 
     #[test]

@@ -10,7 +10,7 @@
 // Tables and CSVs go to stdout by design.
 #![allow(clippy::print_stdout)]
 
-use ccq_repro::ccq::{layer_profiles, CcqConfig, CcqRunner, RecoveryMode};
+use ccq_repro::ccq::{layer_profiles, CcqConfig, CcqRunner, NullSink, RecoveryMode};
 use ccq_repro::data::{gaussian_blobs, BlobsConfig};
 use ccq_repro::hw::{inference_report, model_size, MacEnergyModel};
 use ccq_repro::infer::{arch, PackedModel};
@@ -51,7 +51,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         ..CcqConfig::default()
     });
     let mut provider = |_: &mut Rng64| train_b.clone();
-    let report = runner.run_with_sources(&mut net, &mut provider, &val_b)?;
+    let report = runner.run(&mut net, &mut provider, &val_b, &mut NullSink)?;
     println!("{report}");
 
     // Checkpoint to disk (atomic: tmp + fsync + rename + dir fsync, so a

@@ -136,14 +136,18 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         &events_path,
     )?));
     let mut metrics = MetricsSink::wall();
+    let batch_size = runner.config().batch_size;
+    let augment = Augment::standard();
+    let mut provider = |r: &mut _| train.augmented_batches(batch_size, &augment, r);
+    let val_b = val.batches(batch_size);
     let report = {
         let mut fan = FanoutSink::new().with(&mut events).with(&mut metrics);
         match &resume {
             Some(path) => {
                 println!("resuming from {}", path.display());
-                runner.resume_with_sink(path, &mut net, &train, &val, &mut fan)?
+                runner.resume(path, &mut net, &mut provider, &val_b, &mut fan)?
             }
-            None => runner.run_with_sink(&mut net, &train, &val, &mut fan)?,
+            None => runner.run(&mut net, &mut provider, &val_b, &mut fan)?,
         }
     };
     if let Some(err) = events.io_error() {

@@ -7,7 +7,7 @@
 // Tables and CSVs go to stdout by design.
 #![allow(clippy::print_stdout)]
 
-use ccq_repro::ccq::{CcqConfig, CcqRunner, LambdaSchedule, RecoveryMode};
+use ccq_repro::ccq::{CcqConfig, CcqRunner, LambdaSchedule, NullSink, RecoveryMode};
 use ccq_repro::data::{gaussian_blobs, BlobsConfig};
 use ccq_repro::models::mlp;
 use ccq_repro::nn::train::{evaluate, train_epoch};
@@ -57,7 +57,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let _ = r;
         train_b.clone()
     };
-    let report = runner.run_with_sources(&mut net, &mut provider, &val_b)?;
+    let report = runner.run(&mut net, &mut provider, &val_b, &mut NullSink)?;
 
     // 4. Inspect the learned mixed-precision assignment.
     println!("{report}");

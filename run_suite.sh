@@ -136,6 +136,12 @@ for S in hedge zero-bit releq one-shot; do
   target/release/examples/mixed_precision_search --searcher "$S" --assert-done \
     > "results/search_$S.log" 2>&1 || exit 1
 done
+# continuing the finished hedge search from its final autosave must
+# reach the target again with the same bit pattern
+target/release/examples/mixed_precision_search --resume mixed_precision_search.ccqruns \
+  --assert-done > results/search_hedge_resume.log 2>&1 || exit 1
+grep '^bit pattern:' results/search_hedge.log > results/search_hedge.pattern || exit 1
+grep '^bit pattern:' results/search_hedge_resume.log | cmp - results/search_hedge.pattern || exit 1
 
 # --- bench-smoke gate: the snapshot benchmark must run at one rep, once
 # pinned to one thread and once at the default thread count (that run

@@ -1,7 +1,7 @@
 //! Cross-crate integration: the paper's headline comparisons at test scale.
 
 use ccq_repro::ccq::baselines::{hawq_assign, one_shot_quantize, HawqConfig, OneShotConfig};
-use ccq_repro::ccq::{CcqConfig, CcqRunner, LambdaSchedule, RecoveryMode};
+use ccq_repro::ccq::{CcqConfig, CcqRunner, LambdaSchedule, NullSink, RecoveryMode};
 use ccq_repro::data::{gaussian_blobs, BlobsConfig};
 use ccq_repro::models::mlp;
 use ccq_repro::nn::train::{train_epoch, Batch};
@@ -60,7 +60,7 @@ fn gradual_matches_or_beats_one_shot_at_same_pattern() {
     let mut runner = CcqRunner::new(ccq_cfg);
     let mut provider = |_: &mut Rng64| train_b2.clone();
     let gradual = runner
-        .run_with_sources(&mut grad_net, &mut provider, &val_b2)
+        .run(&mut grad_net, &mut provider, &val_b2, &mut NullSink)
         .unwrap();
 
     assert_eq!(gradual.bit_assignment[0].1, BitWidth::FP32);
@@ -101,7 +101,7 @@ fn mixed_precision_methods_hit_compression_targets() {
     let mut runner = CcqRunner::new(ccq_cfg);
     let mut provider = |_: &mut Rng64| train_b2.clone();
     let ccq = runner
-        .run_with_sources(&mut ccq_net, &mut provider, &val_b2)
+        .run(&mut ccq_net, &mut provider, &val_b2, &mut NullSink)
         .unwrap();
     assert!(ccq.final_compression >= 7.0);
     assert!(

@@ -3,7 +3,7 @@
 //! into a `CCQPACK` artifact computes the same result in true integer
 //! arithmetic.
 
-use ccq_repro::ccq::{CcqConfig, CcqRunner, RecoveryMode};
+use ccq_repro::ccq::{CcqConfig, CcqRunner, NullSink, RecoveryMode};
 use ccq_repro::data::{gaussian_blobs, BlobsConfig};
 use ccq_repro::infer::{arch, PackedModel};
 use ccq_repro::models::mlp;
@@ -48,7 +48,7 @@ fn ccq_result_survives_checkpoint_round_trip() {
     };
     let mut provider = |_: &mut Rng64| train_b.clone();
     let report = CcqRunner::new(cfg)
-        .run_with_sources(&mut net, &mut provider, &val_b)
+        .run(&mut net, &mut provider, &val_b, &mut NullSink)
         .unwrap();
 
     let x = Tensor::ones(&[2, 6]);

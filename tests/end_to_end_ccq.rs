@@ -1,6 +1,6 @@
 //! Cross-crate integration: the full CCQ pipeline on a small CNN.
 
-use ccq_repro::ccq::{CcqConfig, CcqRunner, LambdaSchedule, RecoveryMode, TraceEvent};
+use ccq_repro::ccq::{CcqConfig, CcqRunner, LambdaSchedule, NullSink, RecoveryMode, TraceEvent};
 use ccq_repro::data::{synth_cifar, SynthCifarConfig};
 use ccq_repro::models::plain_cnn;
 use ccq_repro::nn::train::{evaluate, train_epoch};
@@ -56,7 +56,7 @@ fn ccq_quantizes_a_cnn_without_collapse() {
     let mut runner = CcqRunner::new(cfg);
     let mut provider = |_: &mut Rng64| train_b.clone();
     let report = runner
-        .run_with_sources(&mut net, &mut provider, &val_b)
+        .run(&mut net, &mut provider, &val_b, &mut NullSink)
         .unwrap();
 
     // Every quantizable layer reached the 4-bit floor.
@@ -94,7 +94,7 @@ fn ccq_trace_epochs_are_monotone() {
     let mut runner = CcqRunner::new(cfg);
     let mut provider = |_: &mut Rng64| train_b.clone();
     let report = runner
-        .run_with_sources(&mut net, &mut provider, &val_b)
+        .run(&mut net, &mut provider, &val_b, &mut NullSink)
         .unwrap();
     let mut last = 0;
     for p in &report.trace {
@@ -119,7 +119,7 @@ fn identical_seeds_give_identical_reports() {
         let mut runner = CcqRunner::new(cfg);
         let mut provider = |_: &mut Rng64| train_b.clone();
         runner
-            .run_with_sources(&mut net, &mut provider, &val_b)
+            .run(&mut net, &mut provider, &val_b, &mut NullSink)
             .unwrap()
     };
     let a = run();

@@ -8,7 +8,7 @@
 //! them exactly: same trace, same step records, same bit pattern, same
 //! final weights.
 
-use ccq::{CcqConfig, CcqReport, CcqRunner, FaultPlan, LambdaSchedule, RecoveryMode};
+use ccq::{CcqConfig, CcqReport, CcqRunner, FaultPlan, LambdaSchedule, NullSink, RecoveryMode};
 use ccq_data::{gaussian_blobs, BlobsConfig};
 use ccq_models::mlp;
 use ccq_nn::train::Batch;
@@ -147,7 +147,7 @@ fn seeded_run_matches_pre_refactor_golden() {
     let mut runner = CcqRunner::new(config());
     let mut provider = move |_: &mut Rng64| train.clone();
     let report = runner
-        .run_with_sources(&mut net, &mut provider, &val)
+        .run(&mut net, &mut provider, &val, &mut NullSink)
         .unwrap();
     let d = digest(&report, &mut net, runner.expert_weights());
     check("seeded_run.digest", &d);
@@ -163,7 +163,7 @@ fn guarded_fault_injected_run_matches_pre_refactor_golden() {
     runner.inject_faults(FaultPlan::new().nan_grad_at(2, 0));
     let mut provider = move |_: &mut Rng64| train.clone();
     let report = runner
-        .run_with_sources(&mut net, &mut provider, &val)
+        .run(&mut net, &mut provider, &val, &mut NullSink)
         .unwrap();
     assert!(runner.fault_plan().unwrap().exhausted());
     let d = digest(&report, &mut net, runner.expert_weights());
@@ -184,7 +184,7 @@ fn interrupted_plus_resumed_run_matches_pre_refactor_golden() {
     let t = train.clone();
     let mut provider = move |_: &mut Rng64| t.clone();
     let _ = int_runner
-        .run_with_sources(&mut int_net, &mut provider, &val)
+        .run(&mut int_net, &mut provider, &val, &mut NullSink)
         .unwrap();
 
     // Resume under the full-length config on a fresh network: the
@@ -195,7 +195,7 @@ fn interrupted_plus_resumed_run_matches_pre_refactor_golden() {
     let mut res_runner = CcqRunner::new(cfg);
     let mut provider = move |_: &mut Rng64| train.clone();
     let report = res_runner
-        .resume_with_sources(&path, &mut res_net, &mut provider, &val)
+        .resume(&path, &mut res_net, &mut provider, &val, &mut NullSink)
         .unwrap();
     let d = digest(&report, &mut res_net, res_runner.expert_weights());
     check("seeded_run.digest", &d);

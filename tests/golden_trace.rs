@@ -12,7 +12,7 @@
 
 use ccq::{
     parse_events, render_run_summary, CcqConfig, CcqRunner, EventSink, FanoutSink, JsonlSink,
-    LambdaSchedule, ManualClock, MetricsSink, RecoveryMode, StartPoint,
+    LambdaSchedule, ManualClock, MetricsSink, RecoveryMode,
 };
 use ccq_data::{gaussian_blobs, BlobsConfig};
 use ccq_models::mlp;
@@ -72,9 +72,7 @@ fn observed_run() -> (String, String) {
     let mut metrics = MetricsSink::new(Box::new(ManualClock::with_tick(TICK_MICROS)));
     {
         let mut fan = FanoutSink::new().with(&mut jsonl).with(&mut metrics);
-        runner
-            .drive(&mut net, &mut provider, &val, StartPoint::Fresh, &mut fan)
-            .unwrap();
+        runner.run(&mut net, &mut provider, &val, &mut fan).unwrap();
     }
     assert!(jsonl.io_error().is_none());
     let trace = String::from_utf8(jsonl.into_inner()).unwrap();

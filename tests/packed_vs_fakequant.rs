@@ -15,7 +15,7 @@
 //!   of the incoming batch), so a rounding-boundary input can flip one
 //!   activation code and the flip compounds through depth.
 
-use ccq_repro::ccq::{CcqConfig, CcqRunner, RecoveryMode, SearcherKind};
+use ccq_repro::ccq::{CcqConfig, CcqRunner, NullSink, RecoveryMode, SearcherKind};
 use ccq_repro::data::{synth_cifar, SynthCifarConfig};
 use ccq_repro::infer::{arch, PackedModel};
 use ccq_repro::models::{ModelConfig, ModelKind};
@@ -77,7 +77,7 @@ fn packed_matches_fake_quant(kind: ModelKind, family: &str) {
         };
         let mut provider = |_: &mut Rng64| train_b.clone();
         CcqRunner::new(ccq_cfg)
-            .run_with_sources(&mut net, &mut provider, &val_b)
+            .run(&mut net, &mut provider, &val_b, &mut NullSink)
             .expect("ccq descent");
 
         let fake = net.forward(&x, Mode::Eval).expect("fake-quant forward");

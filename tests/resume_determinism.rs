@@ -4,7 +4,7 @@
 //! assignment, same learning curve, same final metrics.
 
 use ccq::{
-    CcqConfig, CcqError, CcqRunner, LambdaSchedule, RecoveryMode, RunState, SearcherKind,
+    CcqConfig, CcqError, CcqRunner, LambdaSchedule, NullSink, RecoveryMode, RunState, SearcherKind,
     SearcherState,
 };
 use ccq_data::{gaussian_blobs, BlobsConfig};
@@ -74,7 +74,7 @@ fn interrupted_plus_resumed_equals_uninterrupted_bit_for_bit() {
     let t = train.clone();
     let mut provider = move |_: &mut Rng64| t.clone();
     let full = full_runner
-        .run_with_sources(&mut full_net, &mut provider, &val)
+        .run(&mut full_net, &mut provider, &val, &mut NullSink)
         .unwrap();
     assert!(
         full.steps.len() >= 2,
@@ -90,7 +90,7 @@ fn interrupted_plus_resumed_equals_uninterrupted_bit_for_bit() {
     let t = train.clone();
     let mut provider = move |_: &mut Rng64| t.clone();
     let _ = int_runner
-        .run_with_sources(&mut int_net, &mut provider, &val)
+        .run(&mut int_net, &mut provider, &val, &mut NullSink)
         .unwrap();
     assert_eq!(RunState::load(&path).unwrap().next_step, 2);
 
@@ -101,7 +101,7 @@ fn interrupted_plus_resumed_equals_uninterrupted_bit_for_bit() {
     let t = train.clone();
     let mut provider = move |_: &mut Rng64| t.clone();
     let resumed = res_runner
-        .resume_with_sources(&path, &mut res_net, &mut provider, &val)
+        .resume(&path, &mut res_net, &mut provider, &val, &mut NullSink)
         .unwrap();
 
     // Bit-for-bit identity with the uninterrupted run.
@@ -156,7 +156,7 @@ fn legacy_v1_checkpoint_resumes_as_hedge_bit_for_bit() {
     let t = train.clone();
     let mut provider = move |_: &mut Rng64| t.clone();
     let _ = runner
-        .run_with_sources(&mut net, &mut provider, &val)
+        .run(&mut net, &mut provider, &val, &mut NullSink)
         .unwrap();
 
     // Downgrade the autosave to the legacy v1 layout.
@@ -172,7 +172,7 @@ fn legacy_v1_checkpoint_resumes_as_hedge_bit_for_bit() {
         let t = train.clone();
         let mut provider = move |_: &mut Rng64| t.clone();
         let report = runner
-            .resume_with_sources(from, &mut net, &mut provider, &val)
+            .resume(from, &mut net, &mut provider, &val, &mut NullSink)
             .unwrap();
         let mut scalars = Vec::new();
         net.visit_state_tensors(&mut |t| {
@@ -216,7 +216,7 @@ fn every_searcher_is_deterministic_under_a_fixed_seed() {
             let t = train.clone();
             let mut provider = move |_: &mut Rng64| t.clone();
             let report = runner
-                .run_with_sources(&mut net, &mut provider, &val)
+                .run(&mut net, &mut provider, &val, &mut NullSink)
                 .unwrap();
             (report, std::fs::read(&path).unwrap())
         };
@@ -249,7 +249,7 @@ fn resume_rejects_a_mismatched_config() {
     let t = train.clone();
     let mut provider = move |_: &mut Rng64| t.clone();
     let _ = runner
-        .run_with_sources(&mut net, &mut provider, &val)
+        .run(&mut net, &mut provider, &val, &mut NullSink)
         .unwrap();
 
     // Different seed.
@@ -260,7 +260,7 @@ fn resume_rejects_a_mismatched_config() {
     let t = train.clone();
     let mut provider = move |_: &mut Rng64| t.clone();
     let err = r2
-        .resume_with_sources(&path, &mut fresh, &mut provider, &val)
+        .resume(&path, &mut fresh, &mut provider, &val, &mut NullSink)
         .unwrap_err();
     assert!(matches!(err, CcqError::ResumeMismatch(_)), "got {err:?}");
 
@@ -271,7 +271,7 @@ fn resume_rejects_a_mismatched_config() {
     let t = train.clone();
     let mut provider = move |_: &mut Rng64| t.clone();
     let err = r3
-        .resume_with_sources(&path, &mut fresh, &mut provider, &val)
+        .resume(&path, &mut fresh, &mut provider, &val, &mut NullSink)
         .unwrap_err();
     assert!(matches!(err, CcqError::ResumeMismatch(_)), "got {err:?}");
 
@@ -281,7 +281,7 @@ fn resume_rejects_a_mismatched_config() {
     let t = train.clone();
     let mut provider = move |_: &mut Rng64| t.clone();
     let err = r4
-        .resume_with_sources(&path, &mut small, &mut provider, &val)
+        .resume(&path, &mut small, &mut provider, &val, &mut NullSink)
         .unwrap_err();
     assert!(matches!(err, CcqError::ResumeMismatch(_)), "got {err:?}");
 }
@@ -293,11 +293,12 @@ fn resume_from_a_missing_file_is_a_checkpoint_io_error() {
     let mut runner = CcqRunner::new(config(None));
     let mut provider = move |_: &mut Rng64| train.clone();
     let err = runner
-        .resume_with_sources(
+        .resume(
             &tmp_path("does_not_exist.ccqruns"),
             &mut net,
             &mut provider,
             &val,
+            &mut NullSink,
         )
         .unwrap_err();
     assert!(matches!(err, CcqError::CheckpointIo(_)), "got {err:?}");
