@@ -11,7 +11,15 @@
 //!   competition, a feed-forward on a small validation set, costs less
 //!   than recovery training;
 //! - fake-quant, packed-dequant and packed-integer forwards of
-//!   ResNet20/18/50 under a mixed int8/int4/int2 ladder.
+//!   ResNet20/18/50 under a mixed int8/int4/int2 ladder;
+//! - the packed-integer forward at the geometry of perfbench's `infer`
+//!   workload: ResNet50-style at width 4, ten classes, a batch of eight
+//!   16×16 images, no pruned layer.
+//!
+//! Each packed-integer row also reports the minor page faults one
+//! forward takes once warmed up (`/proc/self/stat` field 10, counted
+//! over `FAULT_FORWARDS` forwards): a forward that allocates its
+//! activations afresh faults their memory back in on every call.
 //!
 //! Only the competition and `evaluate` rows split their work over
 //! threads, so only they are timed at several thread counts; the kernels
@@ -32,7 +40,8 @@
 //! finite and positive, incremental probing is no slower than full
 //! probing at 1 thread, dequant is bit-exact, integer execution is
 //! within `INT_BOUND`, compression is ≥ 2×, every unsplit row ran at the
-//! default thread count and the demo artifact round-trips — the CI gate.
+//! default thread count, the `infer`-geometry forward takes less than one
+//! minor fault per call and the demo artifact round-trips — the CI gate.
 
 // Tables and CSVs go to stdout by design.
 #![allow(clippy::print_stdout)]
@@ -66,12 +75,22 @@ const INT_BOUND: f64 = 1e-1;
 /// count of the sweep.
 const SPLIT_WORKLOADS: [&str; 2] = ["competition_10_rounds", "evaluate_8_batches"];
 
+/// The workload name of the packed-integer row at `infer`'s geometry.
+const INFER_WORKLOAD: &str = "resnet50_style_infer";
+
+/// Forwards counted, after two warm-up forwards, for a row's minor
+/// faults per forward.
+const FAULT_FORWARDS: usize = 20;
+
 /// One timing row; `ms` is the fastest of the interleaved repetitions.
+/// Packed-integer rows carry their minor faults per forward (NaN when
+/// `/proc/self/stat` cannot be read).
 struct Row {
     workload: &'static str,
     variant: &'static str,
     threads: usize,
     ms: f64,
+    faults: Option<f64>,
 }
 
 /// Packed-artifact facts for one model.
@@ -106,6 +125,7 @@ fn rows_for(variants: &[(&'static str, &'static str)], threads: &[usize]) -> Vec
                 variant,
                 threads,
                 ms: f64::NAN,
+                faults: None,
             });
         }
     }
@@ -158,23 +178,65 @@ fn competition_once(net: &mut Network, val: &[Batch], incremental: bool) {
     }
 }
 
-/// Deterministic mixed-precision assignment: cycle int8/int4/int2 over
-/// the layers, prune the second layer, keep the final layer (the
-/// classifier head) at full precision — the shape of a finished CCQ
-/// descent, with every payload regime represented.
-fn packed_resnet(kind: ModelKind, family: &str) -> (Network, PackedModel) {
-    let cfg = ModelConfig {
+/// Minor page faults of this process so far: field 10 of
+/// `/proc/self/stat`, counted after the parenthesised command name,
+/// which may hold spaces.
+fn minor_faults() -> Option<u64> {
+    let stat = std::fs::read_to_string("/proc/self/stat").ok()?;
+    let fields = stat.get(stat.rfind(')')? + 1..)?;
+    fields.split_whitespace().nth(7)?.parse().ok()
+}
+
+/// Minor faults per call of `forward` after two warm-up calls, or NaN
+/// when the counter cannot be read.
+fn faults_per_forward(mut forward: impl FnMut()) -> f64 {
+    forward();
+    forward();
+    let before = minor_faults();
+    for _ in 0..FAULT_FORWARDS {
+        forward();
+    }
+    match (before, minor_faults()) {
+        (Some(a), Some(b)) => b.saturating_sub(a) as f64 / FAULT_FORWARDS as f64,
+        _ => f64::NAN,
+    }
+}
+
+/// Records `faults` on the `workload`'s packed-integer row.
+fn set_faults(rows: &mut [Row], workload: &str, faults: f64) {
+    for r in rows.iter_mut() {
+        if r.workload == workload && r.variant == "packed_integer" {
+            r.faults = Some(faults);
+        }
+    }
+}
+
+/// The small ResNets of the per-model rows: four classes at width 2.
+fn small_config() -> ModelConfig {
+    ModelConfig {
         classes: 4,
         width: 2,
         policy: PolicyKind::MaxAbs,
         seed: 9,
-    };
-    let mut net = kind.build(&cfg);
+    }
+}
+
+/// Deterministic mixed-precision assignment: cycle int8/int4/int2 over
+/// the layers and keep the final layer (the classifier head) at full
+/// precision — the shape of a finished CCQ descent. `prune_second`
+/// also prunes the second layer, so every payload regime is represented.
+fn packed_resnet(
+    kind: ModelKind,
+    family: &str,
+    cfg: &ModelConfig,
+    prune_second: bool,
+) -> (Network, PackedModel) {
+    let mut net = kind.build(cfg);
     let n = net.quant_layer_count();
     for i in 0..n {
         let spec = if i + 1 == n {
             QuantSpec::full_precision(PolicyKind::MaxAbs)
-        } else if i == 1 {
+        } else if i == 1 && prune_second {
             QuantSpec::new(PolicyKind::MaxAbs, BitWidth::ZERO, BitWidth::ZERO)
         } else {
             let bits = [8, 4, 2][i % 3];
@@ -195,7 +257,7 @@ fn bench_model(
     batch: usize,
     (kind, model_name, family): (ModelKind, &'static str, &str),
 ) -> ModelFacts {
-    let (mut net, model) = packed_resnet(kind, family);
+    let (mut net, model) = packed_resnet(kind, family, &small_config(), true);
     let x = Init::Uniform { lo: -1.0, hi: 1.0 }.sample(&[batch, 3, 16, 16], &mut rng(100));
     let mut deployed = model.instantiate().expect("instantiate");
     let fake = net.forward(&x, Mode::Eval).expect("fake-quant forward");
@@ -231,13 +293,44 @@ fn bench_model(
         };
         black_box(y.expect("forward"));
     });
+    let faults = faults_per_forward(|| {
+        black_box(deployed.forward_packed(black_box(&x), PackedExec::Integer)).expect("forward");
+    });
+    set_faults(rows, model_name, faults);
     facts
+}
+
+/// Times the packed-integer forward at `infer`'s geometry and counts its
+/// minor faults per forward. As in `infer`, the net is deployed from
+/// its CCQPACK bytes: whether freed activations are trimmed from the
+/// heap and faulted back in depends on what was allocated before them,
+/// and a net packed in place reads no faults even when its forward
+/// frees every activation.
+fn bench_infer_geometry(rows: &mut Vec<Row>, reps: usize) {
+    let cfg = ModelConfig {
+        classes: 10,
+        width: 4,
+        ..small_config()
+    };
+    let (_, model) = packed_resnet(ModelKind::Resnet50, "resnet50", &cfg, false);
+    let model = PackedModel::from_bytes(&model.to_bytes()).expect("artifact decodes");
+    let mut deployed = model.instantiate().expect("instantiate");
+    let x = Init::Uniform { lo: -1.0, hi: 1.0 }.sample(&[8, 3, 16, 16], &mut rng(100));
+    let mut forward = || {
+        black_box(deployed.forward_packed(black_box(&x), PackedExec::Integer)).expect("forward");
+    };
+    let variants = [(INFER_WORKLOAD, "packed_integer")];
+    time_rows(rows, reps, rows_for(&variants, &[num_threads()]), |_| {
+        forward()
+    });
+    let faults = faults_per_forward(forward);
+    set_faults(rows, INFER_WORKLOAD, faults);
 }
 
 /// Writes the ResNet20 demo artifact next to `out_path` and checks that
 /// it loads back equal.
 fn write_demo_artifact(out_path: &str) -> String {
-    let (_, model) = packed_resnet(ModelKind::Resnet20, "resnet20");
+    let (_, model) = packed_resnet(ModelKind::Resnet20, "resnet20", &small_config(), true);
     let demo = Path::new(out_path).with_file_name("demo.ccqpack");
     model.save_atomic(&demo).expect("write demo artifact");
     let back = PackedModel::load_with_fallback(&demo).expect("demo artifact loads");
@@ -285,6 +378,16 @@ fn smoke_check(
     if speedup.is_nan() || speedup < 1.0 {
         return Err(format!(
             "incremental probing slower than full forwards ({speedup:.3}x)"
+        ));
+    }
+    let faults = (rows.iter())
+        .find(|r| r.workload == INFER_WORKLOAD)
+        .and_then(|r| r.faults)
+        .unwrap_or(f64::NAN);
+    if faults.is_nan() || faults >= 1.0 {
+        return Err(format!(
+            "{INFER_WORKLOAD}: {faults} minor faults per packed-integer forward after warm-up \
+             (must stay below 1)"
         ));
     }
     for m in models {
@@ -335,6 +438,13 @@ fn main() -> ExitCode {
     };
     threads.dedup();
     let mut rows = Vec::new();
+
+    // First, while glibc's dynamic mmap and trim thresholds are still at
+    // their defaults: the 512³ matmul below frees 1 MiB buffers, which
+    // raises both for the rest of the process and hides the faults of a
+    // forward that frees its activations.
+    eprintln!("timing {INFER_WORKLOAD} (width 4, batch 8)");
+    bench_infer_geometry(&mut rows, reps);
 
     eprintln!("matmul 512x512x512 ({reps} reps per variant, {default_threads} threads)");
     let mut init = rng(0);
@@ -410,7 +520,9 @@ fn main() -> ExitCode {
          round-robin. All thread counts and probe paths are bit-identical. Packed models use a \
          mixed int8/int4/int2 ladder with one pruned layer and an f32 head; dequant must equal \
          the fake-quant Eval forward bit for bit and integer execution stay within {INT_BOUND} \
-         max abs deviation.\",\n  \"timings\": [\n"
+         max abs deviation. Packed-integer rows count minor page faults per forward after two \
+         warm-up forwards; {INFER_WORKLOAD} is perfbench infer's geometry (width 4, 10 classes, \
+         batch 8, no pruned layer) and must stay below one.\",\n  \"timings\": [\n"
     ));
     for (i, r) in rows.iter().enumerate() {
         let overhead = if r.threads > cpus {
@@ -418,8 +530,13 @@ fn main() -> ExitCode {
         } else {
             ""
         };
+        let faults = match r.faults {
+            Some(f) if f.is_finite() => format!(", \"minor_faults_per_forward\": {f:.2}"),
+            Some(_) => ", \"minor_faults_per_forward\": null".to_string(),
+            None => String::new(),
+        };
         json.push_str(&format!(
-            "    {{ \"workload\": \"{}\", \"variant\": \"{}\", \"threads\": {}, \"ms\": {:.3}{overhead} }}{}\n",
+            "    {{ \"workload\": \"{}\", \"variant\": \"{}\", \"threads\": {}, \"ms\": {:.3}{overhead}{faults} }}{}\n",
             r.workload,
             r.variant,
             r.threads,

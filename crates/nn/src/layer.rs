@@ -154,13 +154,17 @@ pub trait Layer: LayerClone + Send + Sync {
     /// [`Layer::forward_packed`] on an input the caller no longer needs.
     /// Layers whose packed forward is elementwise (batch-norm, ReLU)
     /// overwrite `x` and return it instead of allocating an output; the
-    /// default runs [`Layer::forward_packed`] on it.
+    /// default runs [`Layer::forward_packed`] on it and then hands its
+    /// buffer to the thread's packed-forward free list, where the next
+    /// integer convolution output reuses it.
     ///
     /// # Errors
     ///
     /// Returns [`crate::NnError`] on incompatible input shapes.
     fn forward_packed_owned(&mut self, x: Tensor, exec: PackedExec) -> Result<Tensor> {
-        self.forward_packed(&x, exec)
+        let y = self.forward_packed(&x, exec)?;
+        crate::scratch::recycle(x);
+        Ok(y)
     }
 
     /// A short human-readable layer name for diagnostics.

@@ -146,11 +146,12 @@ impl Layer for BasicBlock {
 
     /// Each batch-norm (and the ReLU after it) runs in place on the
     /// tensor its convolution returned, and the shortcut adds into the
-    /// main path: no intermediate beyond the convolution outputs.
+    /// main path: no intermediate beyond the convolution outputs, whose
+    /// buffers go back to the thread's free list once consumed.
     fn forward_packed(&mut self, x: &Tensor, exec: PackedExec) -> Result<Tensor> {
         let mut a = self.conv1.forward_packed(x, exec)?;
         self.bn1.eval_in_place(&mut a, true)?;
-        let mut b = self.conv2.forward_packed(&a, exec)?;
+        let mut b = self.conv2.forward_packed_owned(a, exec)?;
         self.bn2.eval_in_place(&mut b, false)?;
         add_shortcut(&mut b, x, &mut self.shortcut, exec)?;
         self.relu_out.forward_packed_owned(b, exec)
@@ -320,9 +321,9 @@ impl Layer for Bottleneck {
     fn forward_packed(&mut self, x: &Tensor, exec: PackedExec) -> Result<Tensor> {
         let mut a = self.conv1.forward_packed(x, exec)?;
         self.bn1.eval_in_place(&mut a, true)?;
-        let mut b = self.conv2.forward_packed(&a, exec)?;
+        let mut b = self.conv2.forward_packed_owned(a, exec)?;
         self.bn2.eval_in_place(&mut b, true)?;
-        let mut c = self.conv3.forward_packed(&b, exec)?;
+        let mut c = self.conv3.forward_packed_owned(b, exec)?;
         self.bn3.eval_in_place(&mut c, false)?;
         add_shortcut(&mut c, x, &mut self.shortcut, exec)?;
         self.relu_out.forward_packed_owned(c, exec)
@@ -346,6 +347,7 @@ fn add_shortcut(
             let mut s = conv.forward_packed(x, exec)?;
             bn.eval_in_place(&mut s, false)?;
             sum.add_assign(&s)?;
+            crate::scratch::recycle(s);
         }
         None => sum.add_assign(x)?,
     }

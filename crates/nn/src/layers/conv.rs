@@ -1,21 +1,14 @@
 //! Quantization-aware 2-D convolution.
 
 use crate::layer::{Layer, Mode, PackedExec, QuantHandle, StateTag};
+use crate::scratch::with_scratch;
 use crate::{NnError, Param, Result};
 use ccq_quant::{LayerQuant, PackedWeights, QuantSpec};
 use ccq_tensor::ops::{
     col2im, im2col, int_accumulator_safe, int_conv2d, matmul, matmul_a_bt, matmul_at_b, CodeBounds,
-    Conv2dGeometry, IntConvScratch,
+    Conv2dGeometry,
 };
 use ccq_tensor::{Init, Rng64, Tensor, TensorError};
-use std::cell::RefCell;
-
-thread_local! {
-    /// Working memory of the integer convolution, shared by every conv
-    /// layer that runs on this thread: one buffer the size of the
-    /// largest layer rather than one per layer.
-    static INT_SCRATCH: RefCell<IntConvScratch> = RefCell::new(IntConvScratch::default());
-}
 
 /// A 2-D convolution with fake-quantized weights and inputs.
 ///
@@ -286,47 +279,47 @@ impl Layer for QConv2d {
         let (n, h, w) = (x.shape()[0], x.shape()[2], x.shape()[3]);
         let (oh, ow) = self.geom.output_hw(h, w)?;
         let ckk = self.in_ch * self.geom.kernel_h * self.geom.kernel_w;
+        self.macs = (ckk * oh * ow * self.out_ch) as u64;
         // Integer execution needs an activation grid and accumulator
         // headroom; pruned weights and f32-gridded inputs take the
-        // (bit-exact) dequantized path instead.
-        let act = if exec == PackedExec::Integer && packed.bits() > 0 {
-            self.quant.act_codes(x).map(|ac| {
+        // (bit-exact) dequantized path instead. The codes, the patch
+        // matrix and the output buffer all come from the thread's
+        // scratch (see `crate::scratch`).
+        if exec == PackedExec::Integer && packed.bits() > 0 {
+            let bias = self.bias.as_ref().map(|p| p.value.as_slice());
+            let y = with_scratch(|s| {
+                let Some(grid) = self.quant.act_codes_into(x, &mut s.codes) else {
+                    return Ok(None);
+                };
                 let bounds = CodeBounds {
-                    act: ac.qmax.unsigned_abs(),
+                    act: grid.qmax.unsigned_abs(),
                     weight: packed.grid().qmax.unsigned_abs(),
                 };
-                (ac, bounds)
-            })
-        } else {
-            None
-        };
-        let y = match act {
-            Some((ac, bounds)) if int_accumulator_safe(ckk, bounds.act, bounds.weight) => {
-                let scale = ac.scale() * packed.grid().scale();
-                let bias = self.bias.as_ref().map(|p| p.value.as_slice());
-                INT_SCRATCH.with_borrow_mut(|scratch| {
-                    int_conv2d(
-                        &ac.codes,
-                        [n, self.in_ch, h, w],
-                        self.geom,
-                        packed.codes_i8(),
-                        self.out_ch,
-                        bounds,
-                        scale,
-                        bias,
-                        scratch,
-                    )
-                })?
+                if !int_accumulator_safe(ckk, bounds.act, bounds.weight) {
+                    return Ok(None);
+                }
+                let out = s.take_buffer(n * self.out_ch * oh * ow);
+                int_conv2d(
+                    &s.codes,
+                    [n, self.in_ch, h, w],
+                    self.geom,
+                    packed.conv_taps()?,
+                    bounds,
+                    grid.scale() * packed.grid().scale(),
+                    bias,
+                    &mut s.conv,
+                    out,
+                )
+                .map(Some)
+            })?;
+            if let Some(y) = y {
+                return Ok(y);
             }
-            _ => {
-                let xq = self.quant.quantize_acts(x);
-                let cols = im2col(&xq, self.geom)?;
-                let wq = packed.dequantize().reshape(&[self.out_ch, ckk])?;
-                self.mat_to_nchw(&matmul(&wq, &cols)?, n, oh, ow)
-            }
-        };
-        self.macs = (ckk * oh * ow * self.out_ch) as u64;
-        Ok(y)
+        }
+        let xq = self.quant.quantize_acts(x);
+        let cols = im2col(&xq, self.geom)?;
+        let wq = packed.dequantize().reshape(&[self.out_ch, ckk])?;
+        Ok(self.mat_to_nchw(&matmul(&wq, &cols)?, n, oh, ow))
     }
 
     fn name(&self) -> &str {

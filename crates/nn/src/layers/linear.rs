@@ -1,6 +1,7 @@
 //! Quantization-aware fully-connected layer.
 
 use crate::layer::{Layer, Mode, PackedExec, QuantHandle, StateTag};
+use crate::scratch::with_scratch;
 use crate::{NnError, Param, Result};
 use ccq_quant::{LayerQuant, PackedWeights, QuantSpec};
 use ccq_tensor::ops::{int_accumulator_safe, int_matmul_a_bt, matmul, matmul_at_b, sum_axis0};
@@ -172,35 +173,34 @@ impl Layer for QLinear {
         let rows = x.shape()[0];
         // Integer execution needs an activation grid and accumulator
         // headroom; pruned weights and f32-gridded inputs take the
-        // (bit-exact) dequantized path instead.
-        let act = if exec == PackedExec::Integer && packed.bits() > 0 {
-            self.quant.act_codes(x)
-        } else {
-            None
-        };
-        let mut y = match act {
-            Some(ac)
-                if int_accumulator_safe(
-                    self.in_features,
-                    ac.qmax.unsigned_abs(),
-                    packed.grid().qmax.unsigned_abs(),
-                ) =>
-            {
+        // (bit-exact) dequantized path instead. The codes go into the
+        // thread's scratch (see `crate::scratch`).
+        let int = if exec == PackedExec::Integer && packed.bits() > 0 {
+            with_scratch(|s| {
+                let Some(grid) = self.quant.act_codes_into(x, &mut s.codes) else {
+                    return Ok(None);
+                };
+                let w_max = packed.grid().qmax.unsigned_abs();
+                if !int_accumulator_safe(self.in_features, grid.qmax.unsigned_abs(), w_max) {
+                    return Ok(None);
+                }
                 let acc = int_matmul_a_bt(
-                    &ac.codes,
+                    &s.codes,
                     packed.codes_i8(),
                     rows,
                     self.in_features,
                     self.out_features,
                 )?;
-                let scale = ac.scale() * packed.grid().scale();
-                let mut y = Tensor::zeros(&[rows, self.out_features]);
-                for (o, &a) in y.as_mut_slice().iter_mut().zip(&acc) {
-                    *o = a as f32 * scale;
-                }
-                y
-            }
-            _ => {
+                let scale = grid.scale() * packed.grid().scale();
+                let y = acc.iter().map(|&a| a as f32 * scale).collect();
+                Tensor::from_vec(y, &[rows, self.out_features]).map(Some)
+            })?
+        } else {
+            None
+        };
+        let mut y = match int {
+            Some(y) => y,
+            None => {
                 let xq = self.quant.quantize_acts(x);
                 let wq = packed.dequantize();
                 ccq_tensor::ops::matmul_a_bt(&xq, &wq)?

@@ -51,6 +51,7 @@ mod network;
 mod optim;
 mod param;
 pub mod schedule;
+mod scratch;
 pub mod train;
 
 pub use error::NnError;

@@ -25,7 +25,9 @@
 use crate::policies::{aciq, sawb};
 use crate::{BitWidth, PolicyKind};
 use ccq_tensor::codec::numel;
-use ccq_tensor::{PackError, PackedInts, Tensor};
+use ccq_tensor::ops::ConvTaps;
+use ccq_tensor::{PackError, PackedInts, Tensor, TensorError};
+use std::borrow::Cow;
 use std::sync::OnceLock;
 
 /// The symmetric integer grid of one packed weight tensor:
@@ -114,9 +116,11 @@ pub fn symmetric_codes(w: &Tensor, alpha: f32, bits: u32) -> Vec<i8> {
 /// payload bytes, [`PackedWeights::dequantize`] returns zeros.
 ///
 /// The signed codes the integer kernels read are decoded once, on the
-/// first [`PackedWeights::codes_i8`] call, and kept next to the packed
-/// bytes; a copy that never runs integer execution (an artifact being
-/// written or applied) never keeps them.
+/// first [`PackedWeights::codes_i8`] call, and a convolution's list of
+/// nonzero weights once, on the first [`PackedWeights::conv_taps`] call;
+/// both are kept next to the packed bytes, and a copy that never runs
+/// integer execution (an artifact being written or applied) never keeps
+/// them. Packing again builds a new value, so neither can go stale.
 #[derive(Debug, Clone)]
 pub struct PackedWeights {
     shape: Vec<usize>,
@@ -124,10 +128,11 @@ pub struct PackedWeights {
     grid: WeightGrid,
     codes: PackedInts,
     signed: OnceLock<Vec<i8>>,
+    taps: OnceLock<ConvTaps>,
 }
 
 /// Equal shape, grid and packed codes; whether either side has decoded
-/// its codes yet does not matter.
+/// its codes or listed its taps yet does not matter.
 impl PartialEq for PackedWeights {
     fn eq(&self, other: &Self) -> bool {
         self.shape == other.shape
@@ -159,6 +164,7 @@ impl PackedWeights {
                 },
                 codes,
                 signed: OnceLock::new(),
+                taps: OnceLock::new(),
             });
         }
         if bits > 8 {
@@ -179,6 +185,7 @@ impl PackedWeights {
             grid: WeightGrid { alpha, qmax },
             codes,
             signed: OnceLock::new(),
+            taps: OnceLock::new(),
         })
     }
 
@@ -203,6 +210,7 @@ impl PackedWeights {
             grid,
             codes,
             signed: OnceLock::new(),
+            taps: OnceLock::new(),
         })
     }
 
@@ -249,6 +257,25 @@ impl PackedWeights {
             .get_or_init(|| decode_signed(&self.codes, self.bits, self.grid.qmax))
     }
 
+    /// The nonzero codes of a convolution's weights, `shape[0]` output
+    /// channels of `len / shape[0]` codes each, as the integer
+    /// convolution reads them; listed on the first call and kept.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`TensorError::InvalidArgument`] when a decoded code lies
+    /// beyond the grid's `q_max` (a crafted payload can hold one), and
+    /// [`TensorError::LengthMismatch`] when the weights do not split
+    /// into `shape[0]` rows.
+    pub fn conv_taps(&self) -> Result<&ConvTaps, TensorError> {
+        if let Some(taps) = self.taps.get() {
+            return Ok(taps);
+        }
+        let out_ch = self.shape.first().copied().unwrap_or(1);
+        let taps = ConvTaps::new(&self.decoded(), out_ch, self.grid.qmax.unsigned_abs())?;
+        Ok(self.taps.get_or_init(|| taps))
+    }
+
     /// Reconstructs the fake-quant tensor **bit-exactly**: the result is
     /// `f32`-identical to `LayerQuant::quantize_weights` on the original
     /// weights.
@@ -257,21 +284,21 @@ impl PackedWeights {
         if self.bits == 0 {
             return out;
         }
-        // Decode without keeping the codes unless integer execution
-        // already did: an artifact applied to a net dequantizes once.
-        let decoded;
-        let codes = match self.signed.get() {
-            Some(codes) => codes,
-            None => {
-                decoded = decode_signed(&self.codes, self.bits, self.grid.qmax);
-                &decoded
-            }
-        };
         let grid = self.grid;
-        for (o, &q) in out.as_mut_slice().iter_mut().zip(codes) {
+        for (o, &q) in out.as_mut_slice().iter_mut().zip(self.decoded().iter()) {
             *o = grid.value(i32::from(q));
         }
         out
+    }
+
+    /// The signed codes, decoded without keeping them unless
+    /// [`PackedWeights::codes_i8`] already did: an artifact applied to a
+    /// net dequantizes once, and a convolution reads its listed taps.
+    fn decoded(&self) -> Cow<'_, [i8]> {
+        match self.signed.get() {
+            Some(codes) => Cow::Borrowed(codes),
+            None => Cow::Owned(decode_signed(&self.codes, self.bits, self.grid.qmax)),
+        }
     }
 }
 
@@ -324,7 +351,7 @@ fn unbias_code(c: u8, bits: u32, qmax: i32) -> i8 {
 }
 
 /// Integer activation codes for one layer input, with their decoding
-/// scale: `value = (code / q_max) · α`, evaluated in the fake-quant
+/// grid: `value = (code / q_max) · α`, evaluated in the fake-quant
 /// kernel's operation order.
 ///
 /// PACT/SAWB produce unsigned codes in `[0, 2^b − 1]`; max-abs produces
@@ -335,13 +362,21 @@ fn unbias_code(c: u8, bits: u32, qmax: i32) -> i8 {
 pub struct ActCodes {
     /// One code per activation, row-major.
     pub codes: Vec<i16>,
+    /// The grid that decodes them.
+    pub grid: ActGrid,
+}
+
+/// The grid of a layer input's activation codes:
+/// `value = (code / q_max) · α`.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct ActGrid {
     /// Clip value of the grid.
     pub alpha: f32,
     /// Largest absolute code value.
     pub qmax: i32,
 }
 
-impl ActCodes {
+impl ActGrid {
     /// The f32 scale factor applied per code at the layer boundary.
     pub fn scale(&self) -> f32 {
         self.alpha / self.qmax as f32
@@ -372,16 +407,32 @@ pub fn round_code(y: f32) -> i16 {
 /// `alpha` is the layer's learned clip (PACT/SAWB); max-abs derives its
 /// scale from the live input instead. Returns `None` for policies or
 /// widths without an integer grid (the caller falls back to the f32
-/// path), and all-zero codes for the pruned rung.
+/// path), and all-zero codes for the pruned rung. [`act_codes_into`]
+/// writes the codes into a buffer the caller keeps.
 pub fn act_codes(
     policy: PolicyKind,
     alpha: f32,
     act_bits: BitWidth,
     x: &Tensor,
 ) -> Option<ActCodes> {
+    let mut codes = Vec::new();
+    let grid = act_codes_into(policy, alpha, act_bits, x, &mut codes)?;
+    Some(ActCodes { codes, grid })
+}
+
+/// [`act_codes`] into `codes`, which is resized to one code per
+/// activation and overwritten, returning the codes' grid. `codes` is
+/// left as it was when there is no grid.
+pub fn act_codes_into(
+    policy: PolicyKind,
+    alpha: f32,
+    act_bits: BitWidth,
+    x: &Tensor,
+    codes: &mut Vec<i16>,
+) -> Option<ActGrid> {
     if act_bits.is_pruned() {
-        return Some(ActCodes {
-            codes: vec![0; x.as_slice().len()],
+        fill_codes(codes, x, |_| 0);
+        return Some(ActGrid {
             alpha: 0.0,
             qmax: 1,
         });
@@ -397,13 +448,8 @@ pub fn act_codes(
         PolicyKind::Pact | PolicyKind::Sawb => {
             let a = alpha.max(f32::EPSILON);
             let steps = ((1u64 << bits) - 1) as f32;
-            let codes = x
-                .as_slice()
-                .iter()
-                .map(|&v| round_code(v.clamp(0.0, a) / a * steps))
-                .collect();
-            Some(ActCodes {
-                codes,
+            fill_codes(codes, x, |v| round_code(v.clamp(0.0, a) / a * steps));
+            Some(ActGrid {
                 alpha: a,
                 qmax: steps as i32,
             })
@@ -412,31 +458,27 @@ pub fn act_codes(
             let a = x.max_abs();
             let qmax = symmetric_qmax(bits);
             if a <= 0.0 {
-                return Some(ActCodes {
-                    codes: vec![0; x.as_slice().len()],
-                    alpha: 0.0,
-                    qmax,
-                });
+                fill_codes(codes, x, |_| 0);
+                return Some(ActGrid { alpha: 0.0, qmax });
             }
-            let codes = if bits <= 1 {
-                x.as_slice()
-                    .iter()
-                    .map(|&v| if v >= 0.0 { 1 } else { -1 })
-                    .collect()
+            if bits <= 1 {
+                fill_codes(codes, x, |v| if v >= 0.0 { 1 } else { -1 });
             } else {
                 let s = qmax as f32;
-                x.as_slice()
-                    .iter()
-                    .map(|&v| round_code((v / a).clamp(-1.0, 1.0) * s))
-                    .collect()
-            };
-            Some(ActCodes {
-                codes,
-                alpha: a,
-                qmax,
-            })
+                fill_codes(codes, x, |v| round_code((v / a).clamp(-1.0, 1.0) * s));
+            }
+            Some(ActGrid { alpha: a, qmax })
         }
         _ => None,
+    }
+}
+
+/// Resizes `codes` to `x` and overwrites it with `code` of each value.
+fn fill_codes(codes: &mut Vec<i16>, x: &Tensor, code: impl Fn(f32) -> i16) {
+    // Only growth is zero-filled; the loop overwrites the rest.
+    codes.resize(x.len(), 0);
+    for (c, &v) in codes.iter_mut().zip(x.as_slice()) {
+        *c = code(v);
     }
 }
 
@@ -556,17 +598,17 @@ mod tests {
                 let spec = QuantSpec::new(policy, bit(8), bit(bits));
                 let lq = LayerQuant::new(spec);
                 let fake = lq.quantize_acts(&x);
-                let ac = lq.act_codes(&x).expect("gridded policy");
-                let decoded: Vec<f32> = ac
-                    .codes
+                // A longer, stale buffer is resized and overwritten.
+                let mut codes = vec![i16::MIN; 40];
+                let grid = lq.act_codes_into(&x, &mut codes).expect("gridded policy");
+                let decoded: Vec<f32> = codes
                     .iter()
-                    .map(|&c| (f32::from(c) / ac.qmax as f32) * ac.alpha)
+                    .map(|&c| (f32::from(c) / grid.qmax as f32) * grid.alpha)
                     .collect();
                 assert_eq!(fake.as_slice(), &decoded[..], "{policy:?} at {bits} bits");
-                assert!(ac
-                    .codes
+                assert!(codes
                     .iter()
-                    .all(|&c| i32::from(c).unsigned_abs() <= ac.qmax as u32));
+                    .all(|&c| i32::from(c).unsigned_abs() <= grid.qmax as u32));
             }
         }
     }
@@ -575,9 +617,10 @@ mod tests {
     fn pruned_acts_code_to_zero() {
         let x = Init::Uniform { lo: -1.0, hi: 1.0 }.sample(&[6], &mut rng(4));
         let lq = LayerQuant::new(QuantSpec::new(PolicyKind::Pact, bit(4), BitWidth::ZERO));
-        let ac = lq.act_codes(&x).unwrap();
-        assert!(ac.codes.iter().all(|&c| c == 0));
-        assert_eq!(ac.alpha, 0.0);
+        let mut codes = vec![7; 3];
+        let grid = lq.act_codes_into(&x, &mut codes).unwrap();
+        assert_eq!(codes, vec![0; 6]);
+        assert_eq!(grid.alpha, 0.0);
         let fake = lq.quantize_acts(&x);
         assert!(fake.as_slice().iter().all(|&v| v == 0.0));
     }
@@ -585,9 +628,10 @@ mod tests {
     #[test]
     fn fp_and_affine_acts_have_no_grid() {
         let x = Init::Uniform { lo: 0.0, hi: 1.0 }.sample(&[6], &mut rng(5));
+        let mut codes = Vec::new();
         let lq = LayerQuant::new(QuantSpec::new(PolicyKind::Pact, bit(4), BitWidth::FP32));
-        assert!(lq.act_codes(&x).is_none());
+        assert!(lq.act_codes_into(&x, &mut codes).is_none());
         let lq = LayerQuant::new(QuantSpec::new(PolicyKind::UniformAffine, bit(4), bit(4)));
-        assert!(lq.act_codes(&x).is_none());
+        assert!(lq.act_codes_into(&x, &mut codes).is_none());
     }
 }

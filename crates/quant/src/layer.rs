@@ -240,11 +240,12 @@ impl LayerQuant {
         crate::grid::PackedWeights::from_tensor(self.spec.policy, w, self.spec.weight_bits)
     }
 
-    /// Computes integer activation codes for the layer input, mirroring
-    /// [`LayerQuant::quantize_acts`], or `None` when the activation grid
-    /// is not single-scale (the packed path then falls back to f32).
-    pub fn act_codes(&self, x: &Tensor) -> Option<crate::grid::ActCodes> {
-        crate::grid::act_codes(self.spec.policy, self.alpha, self.spec.act_bits, x)
+    /// Writes integer activation codes for the layer input into `codes`,
+    /// mirroring [`LayerQuant::quantize_acts`], and returns their grid,
+    /// or `None` when the activation grid is not single-scale (the
+    /// packed path then falls back to f32).
+    pub fn act_codes_into(&self, x: &Tensor, codes: &mut Vec<i16>) -> Option<crate::grid::ActGrid> {
+        crate::grid::act_codes_into(self.spec.policy, self.alpha, self.spec.act_bits, x, codes)
     }
 
     /// STE mask for the weight gradient: `Some(mask)` when the policy clips

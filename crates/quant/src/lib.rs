@@ -45,7 +45,7 @@ mod wire;
 
 pub use bits::{BitLadder, BitWidth};
 pub use error::QuantError;
-pub use grid::{ActCodes, PackedWeights, WeightGrid};
+pub use grid::{ActCodes, ActGrid, PackedWeights, WeightGrid};
 pub use layer::{LayerQuant, QuantSpec};
 pub use policy::PolicyKind;
 pub use stats::{quantization_mse, quantization_sqnr_db};

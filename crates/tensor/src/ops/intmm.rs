@@ -13,20 +13,25 @@
 //! A packed convolution runs through [`int_conv2d`], which does each
 //! piece of work once per call:
 //!
-//! - the weight codes arrive already decoded (a `PackedWeights` in
-//!   `ccq-quant` unpacks its bytes once, when it is built);
+//! - the weights arrive already listed: a [`ConvTaps`] holds each output
+//!   channel's nonzero weights as (patch row, code), built once per
+//!   weight tensor (a `PackedWeights` in `ccq-quant` builds it on its
+//!   first integer forward and keeps it), with the weight bound checked
+//!   when it is built;
 //! - the patch matrix lives in one [`IntConvScratch`] that the caller
 //!   reuses across layers and calls, and the lowering writes every
 //!   element of it, padding zeros included, so nothing is cleared or
 //!   allocated for it per call;
-//! - each output channel's nonzero weights are listed once per call, and
-//!   its accumulator row is built from them alone, up to four products
-//!   summed in `i16` lanes before one widening add into the `i32` row
-//!   (see *Exactness* below);
+//! - each output channel's accumulator row is built from its taps
+//!   alone, up to four products summed in `i16` lanes before one
+//!   widening add into the `i32` row (see *Exactness* below);
 //! - one epilogue takes each output channel's `i32` accumulator row
 //!   while it is in cache and writes it into the NCHW output as
 //!   `(acc as f32 * scale) + bias`, so there is no accumulator matrix,
-//!   no separate rescaled matrix and no second layout pass.
+//!   no separate rescaled matrix and no second layout pass;
+//! - the output goes into a buffer the caller passes in, which the
+//!   epilogue overwrites in full, so a caller can hand in the buffer of
+//!   an activation it no longer needs instead of allocating.
 //!
 //! # Exactness
 //!
@@ -194,60 +199,92 @@ fn int_im2col_into(
     Ok((oh, ow))
 }
 
-/// Working memory of [`int_conv2d`]: the patch matrix, one row of
-/// accumulators and the list of nonzero weights. One scratch serves
-/// convolutions of any geometry in turn; it grows to the largest layer
-/// it has seen and every call overwrites what it reads, so a caller
-/// keeps one and passes it to every layer.
+/// Working memory of [`int_conv2d`]: the patch matrix and one row of
+/// accumulators. One scratch serves convolutions of any geometry in
+/// turn; it grows to the largest layer it has seen and every call
+/// overwrites what it reads, so a caller keeps one and passes it to
+/// every layer.
 #[derive(Debug, Clone, Default)]
 pub struct IntConvScratch {
     cols: Vec<i16>,
     acc: Vec<i32>,
-    /// Every output channel's nonzero weights as (patch row, code), one
-    /// channel after another; entries past `ends[out_ch]` are stale.
-    taps: Vec<(u32, i16)>,
-    /// Channel `o`'s taps are `taps[ends[o]..ends[o + 1]]`.
-    ends: Vec<usize>,
 }
 
-impl IntConvScratch {
+/// The nonzero weights of a `[out_ch, row_len]` weight-code matrix, one
+/// output channel after another, listed once per weight tensor and read
+/// by every [`int_conv2d`] call on it.
+///
+/// Each tap packs its patch row and code into four bytes, `row << 8 |
+/// code as u8`, so the list is at most four bytes per weight.
+#[derive(Debug, Clone)]
+pub struct ConvTaps {
+    taps: Vec<u32>,
+    /// Channel `o`'s taps are `taps[ends[o]..ends[o + 1]]`.
+    ends: Vec<usize>,
+    row_len: usize,
+    max_abs: u32,
+}
+
+impl ConvTaps {
     /// Lists the nonzero entries of each of the `out_ch` rows of
-    /// `weights`, refusing a code beyond `w_max`. The list is written
-    /// without a branch on the code: every entry is stored, and only a
-    /// nonzero one advances the cursor past itself.
-    fn list_taps(&mut self, weights: &[i8], out_ch: usize, w_max: u32) -> Result<()> {
-        let seen = weights.iter().fold(0u8, |m, &w| m.max(w.unsigned_abs()));
-        check_bound("weight", u32::from(seen), w_max)?;
-        let ckk = weights.len() / out_ch.max(1);
-        if self.taps.len() < weights.len() {
-            self.taps.resize(weights.len(), (0, 0));
+    /// `weights`.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`TensorError::LengthMismatch`] when `weights` does not
+    /// split into `out_ch` equal rows, or [`TensorError::InvalidArgument`]
+    /// when a code's magnitude exceeds `w_max` or a row is too long for
+    /// a tap's 24-bit row index.
+    pub fn new(weights: &[i8], out_ch: usize, w_max: u32) -> Result<Self> {
+        let row_len = weights.len().checked_div(out_ch).unwrap_or(0);
+        check_len(weights.len(), out_ch * row_len)?;
+        if row_len > 1 << 24 {
+            return Err(TensorError::InvalidArgument(format!(
+                "a weight row of {row_len} codes exceeds the 24-bit tap index"
+            )));
         }
-        self.ends.clear();
-        self.ends.push(0);
-        let mut k = 0;
+        let max_abs = u32::from(weights.iter().fold(0u8, |m, &w| m.max(w.unsigned_abs())));
+        check_bound("weight", max_abs, w_max)?;
+        let mut taps = Vec::with_capacity(weights.iter().filter(|&&w| w != 0).count());
+        let mut ends = Vec::with_capacity(out_ch + 1);
+        ends.push(0);
         for oi in 0..out_ch {
-            for (p, &w) in weights[oi * ckk..(oi + 1) * ckk].iter().enumerate() {
-                self.taps[k] = (p as u32, i16::from(w));
-                k += usize::from(w != 0);
-            }
-            self.ends.push(k);
+            let row = &weights[oi * row_len..(oi + 1) * row_len];
+            let nonzero = row.iter().enumerate().filter(|(_, &w)| w != 0);
+            taps.extend(nonzero.map(|(p, &w)| ((p as u32) << 8) | u32::from(w as u8)));
+            ends.push(taps.len());
         }
-        Ok(())
+        Ok(ConvTaps {
+            taps,
+            ends,
+            row_len,
+            max_abs,
+        })
+    }
+
+    /// Number of output channels (weight rows).
+    pub fn out_ch(&self) -> usize {
+        self.ends.len() - 1
     }
 }
 
 /// Adds `Σ w · cols[p]` over the taps `(p, w)` into `acc`, where row `p`
 /// of `cols` is `cols[p·n..(p+1)·n]` with `n = acc.len()`. Up to `group`
 /// products (see [`CodeBounds::i16_group`]) share one `i16` lane sum.
-fn accumulate_taps(taps: &[(u32, i16)], cols: &[i16], acc: &mut [i32], group: usize) {
+fn accumulate_taps(taps: &[u32], cols: &[i16], acc: &mut [i32], group: usize) {
     let n = acc.len();
-    let row = |p: u32| &cols[p as usize * n..(p as usize + 1) * n];
+    let row = |t: u32| &cols[(t >> 8) as usize * n..((t >> 8) as usize + 1) * n];
+    let code = |t: u32| i16::from(t as u8 as i8);
     let mut rest = taps;
     if group >= 4 {
         let mut quads = rest.chunks_exact(4);
         for q in &mut quads {
-            let [(p0, w0), (p1, w1), (p2, w2), (p3, w3)] = [q[0], q[1], q[2], q[3]];
-            let lanes = row(p0).iter().zip(row(p1)).zip(row(p2)).zip(row(p3));
+            let [w0, w1, w2, w3] = [q[0], q[1], q[2], q[3]].map(code);
+            let lanes = row(q[0])
+                .iter()
+                .zip(row(q[1]))
+                .zip(row(q[2]))
+                .zip(row(q[3]));
             for (o, (((&a, &b), &c), &d)) in acc.iter_mut().zip(lanes) {
                 *o += i32::from(w0 * a + w1 * b + w2 * c + w3 * d);
             }
@@ -257,21 +294,22 @@ fn accumulate_taps(taps: &[(u32, i16)], cols: &[i16], acc: &mut [i32], group: us
     if group >= 2 {
         let mut pairs = rest.chunks_exact(2);
         for q in &mut pairs {
-            let [(p0, w0), (p1, w1)] = [q[0], q[1]];
-            for (o, (&a, &b)) in acc.iter_mut().zip(row(p0).iter().zip(row(p1))) {
+            let [w0, w1] = [q[0], q[1]].map(code);
+            for (o, (&a, &b)) in acc.iter_mut().zip(row(q[0]).iter().zip(row(q[1]))) {
                 *o += i32::from(w0 * a + w1 * b);
             }
         }
         rest = pairs.remainder();
     }
-    for &(p, w) in rest {
+    for &t in rest {
+        let w = code(t);
         if group >= 1 {
-            for (o, &a) in acc.iter_mut().zip(row(p)) {
+            for (o, &a) in acc.iter_mut().zip(row(t)) {
                 *o += i32::from(w * a);
             }
         } else {
             let w = i32::from(w);
-            for (o, &a) in acc.iter_mut().zip(row(p)) {
+            for (o, &a) in acc.iter_mut().zip(row(t)) {
                 *o += w * i32::from(a);
             }
         }
@@ -279,21 +317,22 @@ fn accumulate_taps(taps: &[(u32, i16)], cols: &[i16], acc: &mut [i32], group: us
 }
 
 /// Integer 2-D convolution of NCHW activation codes `[n, c, h, w]` with
-/// `[out_ch, c·kh·kw]` weight codes, returning the rescaled NCHW output
-/// `[n, out_ch, oh, ow]`. `bounds` states the largest `|code|` of each
-/// operand; it picks the `i16` group size (see *Exactness* in the
-/// module docs).
+/// the listed weights `taps` of a `[out_ch, c·kh·kw]` code matrix,
+/// returning the rescaled NCHW output `[n, out_ch, oh, ow]` in `out`'s
+/// memory. `bounds` states the largest `|code|` of each operand; it
+/// picks the `i16` group size (see *Exactness* in the module docs).
 ///
 /// Equal bit for bit to [`int_im2col`] → [`int_matmul`] → `acc as f32 *
 /// scale` → reorder to NCHW adding `bias[o]` (or `0.0` without a bias,
 /// which turns a `-0.0` product into `+0.0` as that composition does).
 /// The patch matrix lives in `scratch`, and so does one output channel's
 /// accumulator row at a time: the epilogue rescales it into the output
-/// while it is still in cache.
+/// while it is still in cache. `out` is resized to the output and every
+/// element written, so whatever it held before does not matter.
 ///
 /// # Errors
 ///
-/// Returns [`TensorError::LengthMismatch`] when `codes`, `weights` or
+/// Returns [`TensorError::LengthMismatch`] when `codes`, `taps` or
 /// `bias` does not match its declared dimensions,
 /// [`TensorError::InvalidGeometry`] when the kernel does not fit the
 /// padded input, or [`TensorError::InvalidArgument`] when a code lies
@@ -304,15 +343,16 @@ pub fn int_conv2d(
     codes: &[i16],
     dims: [usize; 4],
     geom: Conv2dGeometry,
-    weights: &[i8],
-    out_ch: usize,
+    taps: &ConvTaps,
     bounds: CodeBounds,
     scale: f32,
     bias: Option<&[f32]>,
     scratch: &mut IntConvScratch,
+    mut out: Vec<f32>,
 ) -> Result<Tensor> {
     let ckk = dims[1] * geom.kernel_h * geom.kernel_w;
-    check_len(weights.len(), out_ch * ckk)?;
+    let out_ch = taps.out_ch();
+    check_len(taps.row_len * out_ch, out_ch * ckk)?;
     if let Some(b) = bias {
         check_len(b.len(), out_ch)?;
     }
@@ -324,35 +364,35 @@ pub fn int_conv2d(
     }
     let a_seen = codes.iter().fold(0u16, |m, &c| m.max(c.unsigned_abs()));
     check_bound("activation", u32::from(a_seen), bounds.act)?;
+    check_bound("weight", taps.max_abs, bounds.weight)?;
     let n = dims[0];
     let (oh, ow) = int_im2col_into(codes, dims, geom, &mut scratch.cols)?;
-    scratch.list_taps(weights, out_ch, bounds.weight)?;
     let plane = oh * ow;
-    let mut out = Tensor::zeros(&[n, out_ch, oh, ow]);
+    // Only growth is zero-filled; the epilogue below overwrites the rest.
+    out.resize(n * out_ch * plane, 0.0);
     if plane == 0 {
-        return Ok(out);
+        return Tensor::from_vec(out, &[n, out_ch, oh, ow]);
     }
-    let ov = out.as_mut_slice();
     let group = bounds.i16_group();
-    let IntConvScratch {
-        cols,
-        acc,
-        taps,
-        ends,
-    } = scratch;
+    let IntConvScratch { cols, acc } = scratch;
     for oi in 0..out_ch {
         acc.clear();
         acc.resize(n * plane, 0);
-        accumulate_taps(&taps[ends[oi]..ends[oi + 1]], cols, acc, group);
+        accumulate_taps(
+            &taps.taps[taps.ends[oi]..taps.ends[oi + 1]],
+            cols,
+            acc,
+            group,
+        );
         let b = bias.map_or(0.0, |b| b[oi]);
         for (ni, src) in acc.chunks_exact(plane).enumerate() {
-            let dst = &mut ov[(ni * out_ch + oi) * plane..(ni * out_ch + oi + 1) * plane];
+            let dst = &mut out[(ni * out_ch + oi) * plane..(ni * out_ch + oi + 1) * plane];
             for (d, &a) in dst.iter_mut().zip(src) {
                 *d = a as f32 * scale + b;
             }
         }
     }
-    Ok(out)
+    Tensor::from_vec(out, &[n, out_ch, oh, ow])
 }
 
 /// Refuses a `what` code of magnitude `seen` beyond the stated `bound`.

@@ -131,6 +131,11 @@ impl Tensor {
         &mut self.data
     }
 
+    /// Consumes the tensor, returning the backing buffer.
+    pub fn into_vec(self) -> Vec<f32> {
+        self.data
+    }
+
     /// Element at a multi-dimensional index.
     ///
     /// # Panics

@@ -1,9 +1,10 @@
 //! The packed-integer convolution kernels equal the simple compositions
 //! they replace, bit for bit:
 //!
-//! - `int_conv2d` (lowering into a reused scratch, integer GEMM and one
-//!   rescale-and-reorder epilogue) equals `int_im2col` → `int_matmul` →
-//!   `acc as f32 * scale` → NCHW reorder adding the bias. Each case runs
+//! - `int_conv2d` (lowering into a reused scratch, integer GEMM over the
+//!   listed nonzero weights and one rescale-and-reorder epilogue) equals
+//!   `int_im2col` → `int_matmul` → `acc as f32 * scale` → NCHW reorder
+//!   adding the bias. Each case runs
 //!   several random geometries back to back through one scratch, a
 //!   heavily padded layer next to an unpadded one in both orders, so a
 //!   padding position left holding the previous layer's codes shows.
@@ -12,6 +13,9 @@
 //!   The operands lie within random stated bounds, a quarter of the
 //!   weights zero, so every `i16` group size of the kernel (4, 2 and 1
 //!   products per lane, and plain `i32` products) runs.
+//! - The output buffer the caller hands in does not matter: one filled
+//!   with NaN, longer or shorter than the output, gives the bits of a
+//!   fresh one, at stride 2, 1×1, with padding and on a 1×1 plane.
 //! - At every activation/weight width pair from 1 to 8 bits (max-abs
 //!   signed and PACT unsigned activations), operands all at ±qmax give
 //!   the plain `i32` product, and the kernel's `i16` group is the
@@ -25,7 +29,7 @@
 use ccq_quant::grid::{act_codes, round_code, symmetric_qmax};
 use ccq_quant::{BitWidth, PolicyKind};
 use ccq_tensor::ops::{
-    int_conv2d, int_im2col, int_matmul, CodeBounds, Conv2dGeometry, IntConvScratch,
+    int_conv2d, int_im2col, int_matmul, CodeBounds, Conv2dGeometry, ConvTaps, IntConvScratch,
 };
 use ccq_tensor::{rng, Rng64, Tensor};
 use proptest::prelude::*;
@@ -201,16 +205,17 @@ fn every_width_pair_at_the_extremes_equals_the_i32_product() {
                         let weights: Vec<i8> = (0..l.out_ch * ckk)
                             .map(|_| if pattern == 2 && r.gen() { -w } else { w })
                             .collect();
+                        let taps = ConvTaps::new(&weights, l.out_ch, bounds.weight).unwrap();
                         let got = int_conv2d(
                             &codes,
                             l.dims,
                             l.geom,
-                            &weights,
-                            l.out_ch,
+                            &taps,
                             bounds,
                             1.0,
                             None,
                             &mut scratch,
+                            Vec::new(),
                         )
                         .unwrap();
                         let want = reference(l, &codes, &weights, 1.0, None);
@@ -266,27 +271,123 @@ fn codes_beyond_the_bounds_are_refused() {
     };
     let codes = vec![127i16; 18];
     let weights = vec![127i8; 36];
+    // The weight bound is checked when the list is built...
+    let err = ConvTaps::new(&weights, l.out_ch, 126)
+        .unwrap_err()
+        .to_string();
+    assert!(err.contains("weight code magnitude 127"), "{err}");
+    let taps = ConvTaps::new(&weights, l.out_ch, 127).unwrap();
     let mut scratch = IntConvScratch::default();
     let mut run = |codes: &[i16], act, weight| {
         int_conv2d(
             codes,
             l.dims,
             l.geom,
-            &weights,
-            l.out_ch,
+            &taps,
             CodeBounds { act, weight },
             1.0,
             None,
             &mut scratch,
+            Vec::new(),
         )
     };
     assert!(run(&codes, 127, 127).is_ok());
     let err = run(&codes, 64, 127).unwrap_err().to_string();
     assert!(err.contains("activation code magnitude 127"), "{err}");
+    // ...and again against the bound each call states.
     let err = run(&codes, 127, 64).unwrap_err().to_string();
     assert!(err.contains("weight code magnitude 127"), "{err}");
     let err = run(&codes, 127, u32::MAX).unwrap_err().to_string();
     assert!(err.contains("overflow an i32"), "{err}");
+    // A list of another layer's shape is refused.
+    let other = ConvTaps::new(&weights[..27], 3, 127).unwrap();
+    let err = int_conv2d(
+        &codes,
+        l.dims,
+        l.geom,
+        &other,
+        CodeBounds {
+            act: 127,
+            weight: 127,
+        },
+        1.0,
+        None,
+        &mut IntConvScratch::default(),
+        Vec::new(),
+    );
+    assert!(err.is_err());
+}
+
+/// An output buffer holding NaN, longer or shorter than the output,
+/// gives the bits of a fresh one: every output element is written.
+#[test]
+fn stale_output_buffers_give_the_fresh_bits() {
+    let geom = |k, stride, padding| Conv2dGeometry {
+        kernel_h: k,
+        kernel_w: k,
+        stride,
+        padding,
+    };
+    let layers = [
+        ([2, 3, 7, 7], geom(3, 2, 1)), // stride 2, padded
+        ([2, 4, 5, 6], geom(1, 1, 0)), // 1×1
+        ([1, 2, 4, 4], geom(3, 1, 2)), // padding wider than "same"
+        ([3, 2, 3, 3], geom(3, 1, 0)), // a 1×1 output plane
+        ([2, 3, 1, 1], geom(1, 1, 0)), // a 1×1 input plane
+    ];
+    let mut r = rng(17);
+    let mut scratch = IntConvScratch::default();
+    for (k, (dims, geom)) in layers.into_iter().enumerate() {
+        let l = Layer {
+            dims,
+            geom,
+            out_ch: 3,
+        };
+        let [n, c, h, w] = dims;
+        let ckk = c * geom.kernel_h * geom.kernel_w;
+        let codes: Vec<i16> = (0..n * c * h * w)
+            .map(|_| r.gen_range(-127..=127))
+            .collect();
+        let weights: Vec<i8> = (0..l.out_ch * ckk)
+            .map(|_| if r.gen() { 0 } else { r.gen_range(-7..=7) })
+            .collect();
+        let taps = ConvTaps::new(&weights, l.out_ch, 7).unwrap();
+        let bounds = CodeBounds {
+            act: 127,
+            weight: 7,
+        };
+        let bias: Vec<f32> = (0..l.out_ch).map(|_| r.gen_range(-1.0f32..1.0)).collect();
+        let bias = (k % 2 == 0).then_some(&bias[..]);
+        let mut conv = |out| {
+            int_conv2d(
+                &codes,
+                dims,
+                geom,
+                &taps,
+                bounds,
+                1e-3,
+                bias,
+                &mut scratch,
+                out,
+            )
+            .unwrap()
+        };
+        let fresh = conv(Vec::new());
+        assert_eq!(
+            bits(fresh.as_slice()),
+            bits(&reference(l, &codes, &weights, 1e-3, bias))
+        );
+        let len = fresh.len();
+        for stale in [
+            vec![f32::NAN; len],
+            vec![f32::NAN; len + 5],
+            vec![f32::NAN; len / 2],
+        ] {
+            let got = conv(stale);
+            assert_eq!(got.shape(), fresh.shape(), "layer {k}");
+            assert_eq!(bits(got.as_slice()), bits(fresh.as_slice()), "layer {k}");
+        }
+    }
 }
 
 proptest! {
@@ -314,8 +415,9 @@ proptest! {
             let scale = r.gen_range(-1e-2f32..1e-2);
             let bias: Option<Vec<f32>> =
                 r.gen::<bool>().then(|| (0..l.out_ch).map(|_| r.gen_range(-1.0f32..1.0)).collect());
+            let taps = ConvTaps::new(&weights, l.out_ch, bounds.weight).unwrap();
             let got = int_conv2d(
-                &codes, l.dims, l.geom, &weights, l.out_ch, bounds, scale, bias.as_deref(), &mut scratch,
+                &codes, l.dims, l.geom, &taps, bounds, scale, bias.as_deref(), &mut scratch, Vec::new(),
             )
             .unwrap();
             let (oh, ow) = l.geom.output_hw(h, w).unwrap();
