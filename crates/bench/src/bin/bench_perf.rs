@@ -34,20 +34,22 @@
 //!
 //! Usage: `cargo run --release -p ccq-bench --bin bench_perf [out.json]
 //! [--smoke]`; `CCQ_BENCH_REPS` sets the repetitions (default 20). With
-//! `--smoke` it runs one repetition, the split rows at threads
-//! {1, default}, writes `demo.ccqpack` next to the JSON, and fails unless
-//! every check holds: the written JSON reads back, every timing is
-//! finite and positive, incremental probing is no slower than full
-//! probing at 1 thread, dequant is bit-exact, integer execution is
-//! within `INT_BOUND`, compression is ≥ 2×, every unsplit row ran at the
-//! default thread count, the `infer`-geometry forward takes less than one
-//! minor fault per call and the demo artifact round-trips — the CI gate.
+//! `--smoke` it runs one repetition (`SMOKE_CNN_REPS` for the plain-CNN
+//! rows), the split rows at threads {1, default}, writes `demo.ccqpack`
+//! next to the JSON, and fails unless every check holds: the written
+//! JSON reads back, every timing is finite and positive, incremental
+//! probing runs as many probes as full probing on less than all of the
+//! forward work and is no slower at 1 thread, dequant is bit-exact,
+//! integer execution is within `INT_BOUND`, compression is ≥ 2×, every
+//! unsplit row ran at the default thread count, the `infer`-geometry
+//! forward takes less than one minor fault per call and the demo
+//! artifact round-trips — the CI gate.
 
 // Tables and CSVs go to stdout by design.
 #![allow(clippy::print_stdout)]
 // ccq-lint: allow-file(panic-surface) — bench harness: aborting on setup failure is the intended UX
 
-use ccq::{Competition, LambdaSchedule};
+use ccq::{Competition, LambdaSchedule, ProbeCacheStats};
 use ccq_bench::{reps_from_env, time_interleaved_ms};
 use ccq_data::{synth_cifar, SynthCifarConfig};
 use ccq_infer::{arch, LayerPayload, PackedModel};
@@ -77,6 +79,11 @@ const SPLIT_WORKLOADS: [&str; 2] = ["competition_10_rounds", "evaluate_8_batches
 
 /// The workload name of the packed-integer row at `infer`'s geometry.
 const INFER_WORKLOAD: &str = "resnet50_style_infer";
+
+/// Repetitions of the plain-CNN rows under `--smoke`: the gate compares
+/// the two competition variants' fastest times, and a single rep let a
+/// busy host's noise fail it on unchanged code (0.935×).
+const SMOKE_CNN_REPS: usize = 5;
 
 /// Forwards counted, after two warm-up forwards, for a row's minor
 /// faults per forward.
@@ -153,8 +160,9 @@ fn naive_matmul(a: &Tensor, b: &Tensor) -> Tensor {
 }
 
 /// One competition run at fixed seed; `incremental` selects the probe
-/// path. Restores the network's specs afterward so reps are identical.
-fn competition_once(net: &mut Network, val: &[Batch], incremental: bool) {
+/// path. Restores the network's specs afterward so reps are identical,
+/// and returns the run's probe accounting.
+fn competition_once(net: &mut Network, val: &[Batch], incremental: bool) -> ProbeCacheStats {
     let specs: Vec<_> = (0..net.quant_layer_count())
         .map(|i| net.quant_spec(i))
         .collect();
@@ -176,6 +184,7 @@ fn competition_once(net: &mut Network, val: &[Batch], incremental: bool) {
     for (i, spec) in specs.iter().enumerate() {
         net.set_quant_spec(i, *spec);
     }
+    comp.cache_stats().clone()
 }
 
 /// Minor page faults of this process so far: field 10 of
@@ -343,6 +352,7 @@ fn smoke_check(
     out_path: &str,
     json: &str,
     rows: &[Row],
+    [full, incremental]: &[ProbeCacheStats; 2],
     models: &[ModelFacts],
 ) -> Result<String, String> {
     let written = std::fs::read_to_string(out_path).map_err(|e| format!("read back: {e}"))?;
@@ -374,6 +384,16 @@ fn smoke_check(
             })
             .map_or(f64::NAN, |r| r.ms)
     };
+    let probes = |s: &ProbeCacheStats| s.hits + s.misses;
+    let fraction = incremental.forward_fraction();
+    if probes(full) == 0 || probes(incremental) != probes(full) || fraction >= 1.0 {
+        return Err(format!(
+            "incremental probing ran {} probes on {fraction:.3} of the forward work, \
+             full probing {} probes",
+            probes(incremental),
+            probes(full)
+        ));
+    }
     let speedup = ms("full") / ms("incremental");
     if speedup.is_nan() || speedup < 1.0 {
         return Err(format!(
@@ -410,7 +430,8 @@ fn smoke_check(
     }
     let demo = write_demo_artifact(out_path);
     Ok(format!(
-        "incremental probing {speedup:.3}x over full; demo artifact at {demo}"
+        "incremental probing {speedup:.3}x over full on {fraction:.3} of its forward work; \
+         demo artifact at {demo}"
     ))
 }
 
@@ -491,9 +512,11 @@ fn main() -> ExitCode {
         &[("recovery_epoch", "train_epoch")],
         &[default_threads],
     ));
-    time_rows(&mut rows, reps, cnn_rows, |row| match row.variant {
-        "full" => competition_once(&mut net, &val, false),
-        "incremental" => competition_once(&mut net, &val, true),
+    let cnn_reps = if smoke { SMOKE_CNN_REPS } else { reps };
+    let mut probe_stats = [ProbeCacheStats::default(), ProbeCacheStats::default()];
+    time_rows(&mut rows, cnn_reps, cnn_rows, |row| match row.variant {
+        "full" => probe_stats[0] = competition_once(&mut net, &val, false),
+        "incremental" => probe_stats[1] = competition_once(&mut net, &val, true),
         "eval" => {
             black_box(evaluate(&mut net, &val).expect("eval"));
         }
@@ -565,7 +588,7 @@ fn main() -> ExitCode {
     eprintln!("wrote {out_path}");
 
     if smoke {
-        match smoke_check(&out_path, &json, &rows, &models) {
+        match smoke_check(&out_path, &json, &rows, &probe_stats, &models) {
             Ok(summary) => eprintln!("smoke ok: {summary}"),
             Err(why) => {
                 eprintln!("SMOKE FAIL: {why}");

@@ -2,7 +2,7 @@
 //! layer, peaks where collaboration recovers.
 //!
 //! Emits the per-epoch validation-accuracy trace as CSV, streamed out of
-//! the descent's event stream (a [`CsvSink`] plus a valley counter over
+//! the descent's event stream (a [`TraceBuffer`] plus a valley counter over
 //! [`DescentEvent::StepCompleted`]). Paper claim reproduced: the curve is
 //! a sawtooth — every quantization step dents accuracy and the subsequent
 //! fine-tuning climbs back.
@@ -14,7 +14,8 @@
 // ccq-lint: allow-file(panic-surface) — bench harness: aborting on setup failure is the intended UX
 
 use ccq::{
-    CcqConfig, CcqRunner, CsvSink, DescentEvent, EventSink, FanoutSink, MetricsSink, RecoveryMode,
+    CcqConfig, CcqRunner, DescentEvent, EventSink, FanoutSink, MetricsSink, RecoveryMode,
+    TraceBuffer,
 };
 use ccq_bench::{build_workload, run_on_images, Scale};
 use ccq_models::ModelKind;
@@ -24,7 +25,7 @@ use ccq_quant::{BitLadder, PolicyKind};
 /// sanity counts, all folded from events as the run progresses.
 #[derive(Default)]
 struct CurveSink {
-    csv: CsvSink,
+    csv: TraceBuffer,
     valleys: usize,
     recovered: usize,
 }

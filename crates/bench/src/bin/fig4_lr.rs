@@ -17,6 +17,7 @@
 use ccq::{DescentEvent, EventSink};
 use ccq_bench::{build_workload, fmt_pct, Scale};
 use ccq_models::ModelKind;
+use ccq_nn::checkpoint::Checkpoint;
 use ccq_nn::schedule::HybridRestart;
 use ccq_nn::train::{evaluate, train_epoch};
 use ccq_nn::{Network, Sgd};
@@ -79,7 +80,7 @@ fn main() {
     let scale = Scale::from_env();
     let workload = build_workload(scale, ModelKind::Resnet18, 10, PolicyKind::Pact, 55);
     let mut net = workload.net;
-    let snapshot = net.snapshot();
+    let snapshot = Checkpoint::capture(&mut net);
     let train = workload.train.batches(32);
     let val = workload.val.batches(32);
     let epochs = (scale.fine_tune_epochs() * 2).max(6);
@@ -98,7 +99,7 @@ fn main() {
     fine_tune(&mut net, &train, &val, epochs, None, base_lr, &mut constant);
 
     // Reset to the same post-drop starting point for the hybrid arm.
-    net.restore(&snapshot).expect("restore");
+    snapshot.apply(&mut net).expect("checkpoint apply");
     for (i, spec) in quant_specs.iter().enumerate() {
         net.set_quant_spec(i, *spec);
     }

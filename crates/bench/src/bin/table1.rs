@@ -16,6 +16,7 @@ use ccq::baselines::{one_shot_quantize, OneShotConfig};
 use ccq::{CcqConfig, CcqRunner, LambdaSchedule, RecoveryMode};
 use ccq_bench::{build_workload, fmt_pct, run_on_images, Scale, SummarySink};
 use ccq_models::ModelKind;
+use ccq_nn::checkpoint::Checkpoint;
 use ccq_quant::{BitLadder, BitWidth, PolicyKind};
 
 fn main() {
@@ -41,8 +42,8 @@ fn main() {
 
         // (a) One-shot to fp-3b-fp, then fine-tune.
         let mut one_shot_net = workload.net;
-        // Re-snapshot for the gradual arm before mutating.
-        let snapshot = one_shot_net.snapshot();
+        // Capture the full-precision net for the gradual arm before mutating.
+        let snapshot = Checkpoint::capture(&mut one_shot_net);
         let cfg = OneShotConfig {
             seed: 1,
             ..OneShotConfig::fp_mid_fp(layers, BitWidth::of(3), scale.fine_tune_epochs())
@@ -52,12 +53,7 @@ fn main() {
 
         // (b) Gradual: force CCQ to reach the same pattern.
         let mut gradual_net = one_shot_net;
-        gradual_net.restore(&snapshot).expect("snapshot restore");
-        // Restore specs to full precision (restore covers tensors/alphas,
-        // not specs).
-        for (i, info) in gradual_net.quant_layer_info().into_iter().enumerate() {
-            gradual_net.set_quant_spec(i, info.spec.with_bits(BitWidth::FP32, BitWidth::FP32));
-        }
+        snapshot.apply(&mut gradual_net).expect("checkpoint apply");
         let mut targets = vec![BitWidth::of(3); layers];
         targets[0] = BitWidth::FP32;
         targets[layers - 1] = BitWidth::FP32;

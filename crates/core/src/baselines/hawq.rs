@@ -14,6 +14,7 @@
 
 use crate::{layer_profiles, CcqError, Result};
 use ccq_hw::model_size;
+use ccq_nn::checkpoint::Checkpoint;
 use ccq_nn::loss::cross_entropy;
 use ccq_nn::train::{evaluate, Batch};
 use ccq_nn::{Mode, Network, Sgd};
@@ -97,8 +98,8 @@ fn layer_grads(net: &mut Network, batch: &Batch) -> Result<Vec<Tensor>> {
 /// Estimates the per-layer Hessian trace via Hutchinson probes.
 ///
 /// The network state (including batch-norm running statistics perturbed by
-/// the train-mode probe passes) is snapshotted and restored around the
-/// estimation.
+/// the train-mode probe passes) is captured as a [`Checkpoint`] and
+/// applied back after the estimation.
 ///
 /// # Errors
 ///
@@ -110,7 +111,7 @@ pub fn estimate_hessian_traces(
     epsilon: f32,
     r: &mut Rng64,
 ) -> Result<Vec<f32>> {
-    let snapshot = net.snapshot();
+    let snapshot = Checkpoint::capture(net);
     let g0 = layer_grads(net, batch)?;
     let m = g0.len();
     let mut traces = vec![0.0f32; m];
@@ -156,7 +157,7 @@ pub fn estimate_hessian_traces(
             traces[i] += hv.dot(&vs[i]).expect("same shape") / probes.max(1) as f32;
         }
     }
-    net.restore(&snapshot)?;
+    snapshot.apply(net)?;
     Ok(traces)
 }
 
@@ -255,9 +256,9 @@ mod tests {
     use super::*;
     use ccq_data::{gaussian_blobs, BlobsConfig};
     use ccq_models::mlp;
-    use ccq_quant::PolicyKind;
+    use ccq_quant::{PolicyKind, QuantSpec};
 
-    fn setup() -> (Network, Vec<Batch>, Vec<Batch>) {
+    fn setup(policy: PolicyKind) -> (Network, Vec<Batch>, Vec<Batch>) {
         let ds = gaussian_blobs(&BlobsConfig {
             samples_per_class: 48,
             seed: 33,
@@ -265,7 +266,7 @@ mod tests {
         });
         let (train, val) = ds.split_at(96);
         let (train_b, val_b) = (train.batches(32), val.batches(32));
-        let mut net = mlp(&[8, 16, 4], PolicyKind::Pact, 4);
+        let mut net = mlp(&[8, 16, 4], policy, 4);
         let mut opt = Sgd::new(0.05).momentum(0.9);
         let mut r = rng(8);
         for _ in 0..12 {
@@ -274,31 +275,50 @@ mod tests {
         (net, train_b, val_b)
     }
 
+    /// Every quantizer scalar in traversal order: `α`, weight step,
+    /// activation step.
+    fn quant_scalars(net: &mut Network) -> Vec<u32> {
+        let mut out = Vec::new();
+        net.visit_quant(&mut |h| {
+            out.extend(
+                [h.quant.alpha(), h.quant.weight_step(), h.quant.act_step()].map(f32::to_bits),
+            )
+        });
+        out
+    }
+
+    /// The probes leave the network as they found it: the same Eval
+    /// forward bit for bit, the same `α` and LSQ steps, and no quantizer
+    /// gradient for fine-tuning's first SGD step to apply.
     #[test]
-    fn traces_are_finite_and_probe_restores_weights() {
-        let (mut net, train, _) = setup();
-        let before = net.snapshot();
-        let mut r = rng(0);
-        let traces = estimate_hessian_traces(&mut net, &train[0], 3, 1e-2, &mut r).unwrap();
-        assert_eq!(traces.len(), 2);
-        assert!(traces.iter().all(|t| t.is_finite()));
-        // Weights restored exactly.
-        let after = net.snapshot();
-        let x = Tensor::ones(&[1, 8]);
-        let _ = before; // snapshots are opaque; compare through behaviour
-        let _ = after;
-        let y1 = net.forward(&x, Mode::Eval).unwrap();
-        let snap = net.snapshot();
-        net.restore(&snap).unwrap();
-        let y2 = net.forward(&x, Mode::Eval).unwrap();
-        assert_eq!(y1.as_slice(), y2.as_slice());
+    fn traces_are_finite_and_probe_restores_the_network() {
+        for (policy, bits) in [(PolicyKind::Pact, 32), (PolicyKind::Lsq, 4)] {
+            let (mut net, train, _) = setup(policy);
+            // PACT at full precision, as `hawq_assign` probes it; LSQ at
+            // 4 bits, where the probes calibrate and train both steps.
+            let spec = QuantSpec::new(policy, BitWidth::of(bits), BitWidth::of(bits));
+            net.set_all_quant_specs(spec);
+            let x = train[1].images.clone();
+            let y_before = net.forward(&x, Mode::Eval).unwrap();
+            let scalars_before = quant_scalars(&mut net);
+            let mut r = rng(0);
+            let traces = estimate_hessian_traces(&mut net, &train[0], 3, 1e-2, &mut r).unwrap();
+            assert_eq!(traces.len(), 2);
+            assert!(traces.iter().all(|t| t.is_finite()));
+            let y_after = net.forward(&x, Mode::Eval).unwrap();
+            let bits_of = |t: &Tensor| t.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits_of(&y_before), bits_of(&y_after), "{policy}");
+            assert_eq!(scalars_before, quant_scalars(&mut net), "{policy}");
+            net.visit_quant(&mut |h| h.quant.step_alpha(1.0, 0.0));
+            assert_eq!(scalars_before, quant_scalars(&mut net), "{policy} gradient");
+        }
     }
 
     #[test]
     fn trace_of_convex_quadratic_is_positive() {
         // Near a well-trained optimum the loss is locally convex, so the
         // trace estimates should be mostly positive.
-        let (mut net, train, _) = setup();
+        let (mut net, train, _) = setup(PolicyKind::Pact);
         let mut r = rng(1);
         let traces = estimate_hessian_traces(&mut net, &train[0], 6, 1e-2, &mut r).unwrap();
         let positive = traces.iter().filter(|&&t| t > 0.0).count();
@@ -310,7 +330,7 @@ mod tests {
 
     #[test]
     fn assignment_reaches_compression_target() {
-        let (mut net, train, val) = setup();
+        let (mut net, train, val) = setup(PolicyKind::Pact);
         let cfg = HawqConfig {
             target_compression: 6.0,
             fine_tune_epochs: 4,
@@ -325,7 +345,7 @@ mod tests {
 
     #[test]
     fn assignment_is_mixed_precision_when_sensitivities_differ() {
-        let (mut net, train, val) = setup();
+        let (mut net, train, val) = setup(PolicyKind::Pact);
         let cfg = HawqConfig {
             target_compression: 7.0,
             fine_tune_epochs: 0,
@@ -340,7 +360,7 @@ mod tests {
 
     #[test]
     fn empty_val_is_rejected() {
-        let (mut net, train, _) = setup();
+        let (mut net, train, _) = setup(PolicyKind::Pact);
         let cfg = HawqConfig::default();
         assert!(matches!(
             hawq_assign(&mut net, &cfg, &train, &[]),

@@ -30,8 +30,7 @@
 //! golden tests).
 
 use crate::fault::{inject_nan, FaultPlan};
-use crate::guard::{capture_velocities, restore_velocities, StepSnapshot};
-use crate::run_state::RunState;
+use crate::run_state::{capture_velocities, restore_velocities, RunState};
 use crate::runner::{CcqConfig, CcqReport};
 use crate::searcher::Searcher;
 use crate::{
@@ -166,7 +165,9 @@ pub struct DescentEngine<'a> {
     attempt: usize,
     /// π slots quarantined for step `t` (quarantine policy).
     quarantined: Vec<usize>,
-    snap: Option<StepSnapshot>,
+    /// The guard's rollback point, captured as step `t` enters
+    /// [`Phase::Compete`].
+    snap: Option<RunState>,
     lambda_now: f32,
     pending: Option<PendingStep>,
     /// Compression after the step just completed, checked against the
@@ -193,78 +194,21 @@ impl<'a> DescentEngine<'a> {
         } else {
             Collaboration::new(config.recovery).with_constant_lr()
         };
-        let (st, phase, target_check, rollbacks) = match start {
-            StartPoint::Fresh => {
-                if let Some(t) = &config.targets {
-                    let m = net.quant_layer_count();
-                    if t.len() != m {
-                        return Err(CcqError::InvalidConfig(format!(
-                            "{} targets for {m} quantizable layers",
-                            t.len()
-                        )));
-                    }
-                }
-                let st = DescentState {
-                    r: rng(config.seed),
-                    opt: Sgd::new(config.lr)
-                        .momentum(config.momentum)
-                        .weight_decay(config.weight_decay),
-                    hybrid: HybridRestart::new(config.lr),
-                    collab,
-                    buf: TraceBuffer::new(),
-                    epoch: 0,
-                    baseline: 0.0,
-                    last_acc: 0.0,
-                    next_step: 1,
-                };
-                (st, Phase::InitQuantize, None, 0)
+        if let (StartPoint::Fresh, Some(t)) = (&start, &config.targets) {
+            let m = net.quant_layer_count();
+            if t.len() != m {
+                return Err(CcqError::InvalidConfig(format!(
+                    "{} targets for {m} quantizable layers",
+                    t.len()
+                )));
             }
-            StartPoint::FromRunState(state) => {
-                validate_resume(config, &state, net)?;
-                state.ckpt.apply(net).map_err(|e| {
-                    CcqError::ResumeMismatch(format!("checkpoint does not fit this network: {e}"))
-                })?;
-                restore_velocities(net, &state.velocities);
-                // A pristine state (the autosave after the initial
-                // ladder-top recovery, before the first competition)
-                // resets the searcher exactly as a fresh run would.
-                let slots = expert_slots(config.granularity, net.quant_layer_count());
-                searcher.restore(&state.searcher, slots).map_err(|e| {
-                    CcqError::ResumeMismatch(format!("saved searcher state rejected: {e}"))
-                })?;
-                let mut hybrid = HybridRestart::new(state.base_lr);
-                hybrid.set_plateau_state(state.plateau);
-                let mut opt = Sgd::new(config.lr)
-                    .momentum(config.momentum)
-                    .weight_decay(config.weight_decay);
-                opt.set_lr(state.lr);
-                // The autosave this state came from ran *before* the
-                // checkpoint's compression-target decision, so that check
-                // is still pending on resume. Re-arm it from the last
-                // committed step (the exact f64 the interrupted run would
-                // have compared) or a kill between the final autosave and
-                // `finalize` would resume past its target.
-                let pending_target = state.steps.last().map(|s| s.compression);
-                let st = DescentState {
-                    r: rng_from_state(state.rng),
-                    opt,
-                    hybrid,
-                    collab,
-                    buf: TraceBuffer::with_history(state.trace, state.steps),
-                    epoch: state.epoch,
-                    baseline: state.baseline_accuracy,
-                    last_acc: state.last_accuracy,
-                    next_step: state.next_step,
-                };
-                (st, Phase::Checkpoint, pending_target, state.rollbacks)
-            }
-        };
+        }
         let probe_val = if config.probe_val_batches == 0 {
             val
         } else {
             &val[..config.probe_val_batches.min(val.len())]
         };
-        Ok(DescentEngine {
+        let mut engine = DescentEngine {
             config,
             searcher,
             fault: None,
@@ -273,18 +217,54 @@ impl<'a> DescentEngine<'a> {
             val,
             probe_val,
             sink,
-            st,
-            phase,
+            st: DescentState {
+                r: rng(config.seed),
+                opt: Sgd::new(config.lr)
+                    .momentum(config.momentum)
+                    .weight_decay(config.weight_decay),
+                hybrid: HybridRestart::new(config.lr),
+                collab,
+                buf: TraceBuffer::new(),
+                epoch: 0,
+                baseline: 0.0,
+                last_acc: 0.0,
+                next_step: 1,
+            },
+            phase: Phase::InitQuantize,
             t: 0,
             attempt: 0,
             quarantined: Vec::new(),
             snap: None,
             lambda_now: 0.0,
             pending: None,
-            target_check,
-            rollbacks,
+            target_check: None,
+            rollbacks: 0,
             report: None,
-        })
+        };
+        if let StartPoint::FromRunState(state) = start {
+            validate_resume(config, &state)?;
+            // A pristine state (the autosave after the initial
+            // ladder-top recovery, before the first competition)
+            // resets the searcher exactly as a fresh run would.
+            engine.restore_run_state(&state).map_err(|e| {
+                CcqError::ResumeMismatch(format!("saved state does not fit this run: {e}"))
+            })?;
+            // The autosave this state came from ran *before* the
+            // checkpoint's compression-target decision, so that check
+            // is still pending on resume. Re-arm it from the last
+            // committed step (the exact f64 the interrupted run would
+            // have compared) or a kill between the final autosave and
+            // `finalize` would resume past its target.
+            engine.target_check = state.steps.last().map(|s| s.compression);
+            engine.rollbacks = state.rollbacks;
+            engine.st.baseline = state.baseline_accuracy;
+            engine.st.last_acc = state.last_accuracy;
+            engine.st.next_step = state.next_step;
+            let RunState { trace, steps, .. } = *state;
+            engine.st.buf = TraceBuffer::with_history(trace, steps);
+            engine.phase = Phase::Checkpoint;
+        }
+        Ok(engine)
     }
 
     /// Arms a fault plan for this run (builder style).
@@ -453,15 +433,7 @@ impl<'a> DescentEngine<'a> {
         self.snap = if self.config.guard.is_off() {
             None
         } else {
-            Some(StepSnapshot::capture(
-                self.net,
-                self.searcher.state(),
-                &self.st.r,
-                &self.st.opt,
-                &self.st.hybrid,
-                self.st.epoch,
-                self.st.buf.trace().len(),
-            ))
+            Some(self.capture_run_state())
         };
         let outcome = {
             let DescentState { r, buf, .. } = &mut self.st;
@@ -577,8 +549,8 @@ impl<'a> DescentEngine<'a> {
         let snap = self.snap.take().ok_or(CcqError::EngineInvariant(
             "an armed guard implies a pre-step snapshot",
         ))?;
-        let discarded = self.st.buf.trace().len() - snap.trace_len;
-        self.restore_snapshot(&snap)?;
+        let discarded = self.st.buf.trace().len() - snap.trace.len();
+        self.restore_run_state(&snap)?;
         self.rollbacks += 1;
         self.attempt += 1;
         if self.attempt > self.config.guard.max_retries() {
@@ -664,20 +636,22 @@ impl<'a> DescentEngine<'a> {
         Ok(())
     }
 
-    /// Restores a pre-step snapshot after a divergent attempt: network
-    /// and momentum, searcher state, RNG stream, LR schedule, and the
-    /// epoch cursor. The trace retraction travels as the
-    /// [`DescentEvent::GuardRollback`] event.
-    fn restore_snapshot(&mut self, snap: &StepSnapshot) -> Result<()> {
-        snap.restore_network(self.net)?;
+    /// Puts back what a quantization step changes: the network and its
+    /// momentum, the searcher, the RNG stream, the LR schedule and the
+    /// epoch cursor. A guard rollback restores its pre-step capture with
+    /// it (the trace retraction travels as the
+    /// [`DescentEvent::GuardRollback`] event); a resume restores its
+    /// autosave with it and then the trace, counters and rollbacks.
+    fn restore_run_state(&mut self, state: &RunState) -> Result<()> {
+        restore_velocities(self.net, &state.velocities)?;
+        state.ckpt.apply(self.net)?;
         let slots = expert_slots(self.config.granularity, self.net.quant_layer_count());
-        self.searcher.restore(&snap.searcher, slots)?;
-        self.st.r = rng_from_state(snap.rng);
-        let mut hybrid = HybridRestart::new(snap.base_lr);
-        hybrid.set_plateau_state(snap.plateau);
-        self.st.hybrid = hybrid;
-        self.st.opt.set_lr(snap.lr);
-        self.st.epoch = snap.epoch;
+        self.searcher.restore(&state.searcher, slots)?;
+        self.st.r = rng_from_state(state.rng);
+        self.st.hybrid = HybridRestart::new(state.base_lr);
+        self.st.hybrid.set_plateau_state(state.plateau);
+        self.st.opt.set_lr(state.lr);
+        self.st.epoch = state.epoch;
         Ok(())
     }
 
@@ -807,9 +781,9 @@ pub(crate) fn check_inputs(config: &CcqConfig, val: &[Batch]) -> Result<()> {
     config.validate()
 }
 
-/// Rejects a [`RunState`] whose configuration fingerprint or network
-/// structure does not match this run.
-fn validate_resume(config: &CcqConfig, state: &RunState, net: &mut Network) -> Result<()> {
+/// Rejects a [`RunState`] whose configuration fingerprint does not match
+/// this run. The network's structure is checked as the state is restored.
+fn validate_resume(config: &CcqConfig, state: &RunState) -> Result<()> {
     let mismatch = |msg: String| Err(CcqError::ResumeMismatch(msg));
     if state.seed != config.seed {
         return mismatch(format!(
@@ -842,20 +816,6 @@ fn validate_resume(config: &CcqConfig, state: &RunState, net: &mut Network) -> R
         .map(|t| t.iter().map(|b| b.bits()).collect::<Vec<u32>>());
     if state.targets != targets {
         return mismatch("saved per-layer targets differ".into());
-    }
-    let mut shapes: Vec<Vec<usize>> = Vec::new();
-    net.visit_params(&mut |p| shapes.push(p.velocity.shape().to_vec()));
-    if shapes.len() != state.velocities.len() {
-        return mismatch(format!(
-            "saved run has {} momentum buffers, network has {}",
-            state.velocities.len(),
-            shapes.len()
-        ));
-    }
-    for (i, (s, v)) in shapes.iter().zip(&state.velocities).enumerate() {
-        if s != v.shape() {
-            return mismatch(format!("momentum buffer {i} shape differs"));
-        }
     }
     // Slot-dimension validation happens inside `Searcher::restore`; the
     // fingerprint check here is only that the state was written by the

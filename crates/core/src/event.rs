@@ -11,7 +11,8 @@
 //! The engine always feeds an internal [`TraceBuffer`], which reproduces
 //! the legacy [`TracePoint`]/[`StepRecord`] vectors bit-for-bit (including
 //! discarding the points of a rolled-back step); the report's CSV emitters
-//! are thin renderers over those vectors, shared with [`CsvSink`].
+//! are thin renderers over those vectors, shared with the buffer's own
+//! [`TraceBuffer::trace_csv`] and [`TraceBuffer::schedule_csv`].
 //!
 //! # Sink contract
 //!
@@ -332,50 +333,19 @@ impl EventSink for TraceBuffer {
     }
 }
 
-/// A [`TraceBuffer`] that exposes its contents as the legacy CSV strings;
-/// attach one to get `trace_csv`/`schedule_csv` output byte-identical to
-/// [`crate::CcqReport`]'s emitters.
-#[derive(Debug, Clone, Default)]
-pub struct CsvSink {
-    buf: TraceBuffer,
-}
-
-impl CsvSink {
-    /// An empty sink.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// The learning curve as CSV (`epoch,val_accuracy,lr,event`).
-    pub fn trace_csv(&self) -> String {
-        self.buf.trace_csv()
-    }
-
-    /// The schedule as CSV, one row per quantization step.
-    pub fn schedule_csv(&self) -> String {
-        self.buf.schedule_csv()
-    }
-}
-
-impl EventSink for CsvSink {
-    fn on_event(&mut self, ev: &DescentEvent) {
-        self.buf.on_event(ev);
-    }
-}
-
 /// Fans one event stream out to several sinks, in push order.
 ///
-/// This is how orthogonal observers compose: a [`CsvSink`] for the
-/// figure, a [`JsonlSink`] for the raw log, and a
+/// This is how orthogonal observers compose: a [`TraceBuffer`] for the
+/// figure's CSV, a [`JsonlSink`] for the raw log, and a
 /// [`crate::MetricsSink`] for counters and timings can all watch the
 /// same run.
 ///
 /// # Example
 ///
 /// ```
-/// use ccq::{CsvSink, FanoutSink, MetricsSink};
+/// use ccq::{FanoutSink, MetricsSink, TraceBuffer};
 ///
-/// let mut csv = CsvSink::new();
+/// let mut csv = TraceBuffer::new();
 /// let mut metrics = MetricsSink::manual(1_000);
 /// let mut sink = FanoutSink::new().with(&mut csv).with(&mut metrics);
 /// // runner.run(&mut net, &mut provider, &val, &mut sink)?;

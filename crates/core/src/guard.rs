@@ -2,15 +2,10 @@
 //!
 //! Low-bit quantization steps occasionally destabilize training — a probe
 //! or recovery epoch produces a non-finite loss and the poisoned weights
-//! would silently corrupt every later step. The guard snapshots all
-//! descent state before each step, detects the blow-up right after the
-//! collaboration stage, and applies a [`GuardPolicy`].
-
-use crate::searcher::SearcherState;
-use ccq_nn::checkpoint::Checkpoint;
-use ccq_nn::schedule::HybridRestart;
-use ccq_nn::{Network, Sgd};
-use ccq_tensor::{rng_state, Rng64, Tensor};
+//! would silently corrupt every later step. The engine captures all
+//! descent state as a [`crate::RunState`] before each step, detects the
+//! blow-up right after the collaboration stage, and applies a
+//! [`GuardPolicy`].
 
 /// What the runner does when a quantization step diverges (non-finite
 /// training loss, validation accuracy, or network weights after the
@@ -66,100 +61,9 @@ impl GuardPolicy {
     }
 }
 
-/// Everything the runner must restore to replay one quantization step as
-/// if it never happened: network state, SGD momentum (which lives outside
-/// [`Checkpoint`]), searcher state, the RNG stream, the LR schedule, and
-/// the learning-curve cursor.
-#[derive(Debug, Clone)]
-pub(crate) struct StepSnapshot {
-    pub ckpt: Checkpoint,
-    pub velocities: Vec<Tensor>,
-    pub searcher: SearcherState,
-    pub rng: [u64; 4],
-    pub plateau: (f32, usize, Option<usize>),
-    pub base_lr: f32,
-    pub lr: f32,
-    pub epoch: usize,
-    pub trace_len: usize,
-}
-
-impl StepSnapshot {
-    /// Captures the full pre-step state. Reads the RNG state without
-    /// advancing it, so a guarded run that never rolls back follows the
-    /// exact trajectory of an unguarded one.
-    pub fn capture(
-        net: &mut Network,
-        searcher: SearcherState,
-        r: &Rng64,
-        opt: &Sgd,
-        hybrid: &HybridRestart,
-        epoch: usize,
-        trace_len: usize,
-    ) -> Self {
-        StepSnapshot {
-            ckpt: Checkpoint::capture(net),
-            velocities: capture_velocities(net),
-            searcher,
-            rng: rng_state(r),
-            plateau: hybrid.plateau_state(),
-            base_lr: hybrid.base_lr(),
-            lr: opt.lr(),
-            epoch,
-            trace_len,
-        }
-    }
-
-    /// Restores the network portion of the snapshot: checkpointed state
-    /// tensors, quant specs, and SGD velocities.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`Checkpoint::apply`] errors (cannot happen when the
-    /// snapshot came from the same network).
-    pub fn restore_network(&self, net: &mut Network) -> crate::Result<()> {
-        self.ckpt.apply(net)?;
-        restore_velocities(net, &self.velocities);
-        Ok(())
-    }
-}
-
-/// Clones every parameter's momentum buffer in visit order.
-pub(crate) fn capture_velocities(net: &mut Network) -> Vec<Tensor> {
-    let mut out = Vec::new();
-    net.visit_params(&mut |p| out.push(p.velocity.clone()));
-    out
-}
-
-/// Writes momentum buffers captured by [`capture_velocities`] back in
-/// visit order.
-///
-/// # Panics
-///
-/// Panics when the buffer count or shapes do not match the network;
-/// callers validate structure first (resume) or captured from the same
-/// network (rollback).
-pub(crate) fn restore_velocities(net: &mut Network, velocities: &[Tensor]) {
-    let mut i = 0;
-    net.visit_params(&mut |p| {
-        assert!(i < velocities.len(), "velocity count mismatch");
-        assert_eq!(
-            p.velocity.shape(),
-            velocities[i].shape(),
-            "velocity shape mismatch"
-        );
-        p.velocity = velocities[i].clone();
-        i += 1;
-    });
-    assert_eq!(i, velocities.len(), "velocity count mismatch");
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ccq_models::mlp;
-    use ccq_quant::PolicyKind;
-    use ccq_tensor::rng;
-    use rand::Rng;
 
     #[test]
     fn default_policy_is_rollback_with_two_retries() {
@@ -174,47 +78,5 @@ mod tests {
         assert!(!p.is_off());
         assert_eq!(p.max_retries(), 2);
         assert_eq!(GuardPolicy::Off.max_retries(), 0);
-    }
-
-    #[test]
-    fn snapshot_restores_weights_velocities_and_rng() {
-        let mut net = mlp(&[4, 8, 2], PolicyKind::Pact, 0);
-        let mut r = rng(9);
-        // Give the velocities non-trivial content.
-        net.visit_params(&mut |p| p.velocity.fill(0.25));
-        let opt = Sgd::new(0.02);
-        let hybrid = HybridRestart::new(0.02);
-        let snap = StepSnapshot::capture(
-            &mut net,
-            SearcherState::Hedge { pi: vec![1.0, 1.0] },
-            &r,
-            &opt,
-            &hybrid,
-            3,
-            7,
-        );
-
-        // Diverge: poison weights and velocities, advance the RNG.
-        net.visit_params(&mut |p| {
-            p.value.fill(f32::NAN);
-            p.velocity.fill(f32::NAN);
-        });
-        let _: u64 = r.gen();
-        assert!(!net.all_finite());
-
-        snap.restore_network(&mut net).unwrap();
-        let restored = ccq_tensor::rng_from_state(snap.rng);
-        assert!(net.all_finite());
-        let mut ok = true;
-        net.visit_params(&mut |p| {
-            ok &= p.velocity.as_slice().iter().all(|&v| v == 0.25);
-        });
-        assert!(ok, "velocities must be restored exactly");
-        // The restored RNG replays the same stream the snapshot saw.
-        let mut a = restored;
-        let mut b = ccq_tensor::rng_from_state(snap.rng);
-        assert_eq!(a.gen::<u64>(), b.gen::<u64>());
-        assert_eq!(snap.epoch, 3);
-        assert_eq!(snap.trace_len, 7);
     }
 }

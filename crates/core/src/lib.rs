@@ -70,8 +70,8 @@ pub use competition::{
 pub use engine::{DescentEngine, DriveOutcome, Phase, RunControl, StartPoint, StepOutcome};
 pub use error::CcqError;
 pub use event::{
-    CsvSink, DescentEvent, EventSink, FanoutSink, JsonlSink, NullSink, StepRecord, TraceBuffer,
-    TraceEvent, TracePoint,
+    DescentEvent, EventSink, FanoutSink, JsonlSink, NullSink, StepRecord, TraceBuffer, TraceEvent,
+    TracePoint,
 };
 pub use fault::FaultPlan;
 pub use guard::GuardPolicy;

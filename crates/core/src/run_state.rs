@@ -17,6 +17,7 @@ use crate::event::{StepRecord, TraceEvent, TracePoint};
 use crate::searcher::SearcherState;
 use crate::{ExpertKind, Result};
 use ccq_nn::checkpoint::Checkpoint;
+use ccq_nn::{Network, NnError};
 use ccq_tensor::codec::{self, put_blob, CodecError, Decode, Decoded, Encode, Reader};
 use ccq_tensor::{wire_enum, Tensor};
 use std::path::Path;
@@ -274,6 +275,44 @@ impl RunState {
     }
 }
 
+/// Clones every parameter's momentum buffer in visit order — the
+/// [`RunState::velocities`] of a network.
+pub(crate) fn capture_velocities(net: &mut Network) -> Vec<Tensor> {
+    let mut out = Vec::new();
+    net.visit_params(&mut |p| out.push(p.velocity.clone()));
+    out
+}
+
+/// Writes momentum buffers captured by [`capture_velocities`] back in
+/// visit order, after checking all of them against the network.
+///
+/// # Errors
+///
+/// [`NnError::StateMismatch`] when the buffer count differs and
+/// [`NnError::InvalidConfig`] when a shape differs; the network is left
+/// untouched either way.
+pub(crate) fn restore_velocities(net: &mut Network, velocities: &[Tensor]) -> Result<()> {
+    let mut shapes = Vec::new();
+    net.visit_params(&mut |p| shapes.push(p.velocity.shape().to_vec()));
+    if shapes.len() != velocities.len() {
+        return Err(NnError::StateMismatch {
+            expected: shapes.len(),
+            actual: velocities.len(),
+        }
+        .into());
+    }
+    if let Some(i) = (shapes.iter().zip(velocities)).position(|(s, v)| s != v.shape()) {
+        return Err(NnError::InvalidConfig(format!("momentum buffer {i} shape differs")).into());
+    }
+    let mut saved = velocities.iter();
+    net.visit_params(&mut |p| {
+        if let Some(v) = saved.next() {
+            p.velocity = v.clone();
+        }
+    });
+    Ok(())
+}
+
 /// Epoch (`u64`), accuracy, LR, then the tagged event.
 impl Encode for TracePoint {
     fn encode(&self, out: &mut Vec<u8>) {
@@ -363,7 +402,7 @@ mod tests {
             plateau: (0.9, 1, Some(2)),
             searcher: SearcherState::Hedge { pi: vec![1.0, 0.5] },
             rollbacks: 2,
-            velocities: crate::guard::capture_velocities(&mut net),
+            velocities: capture_velocities(&mut net),
             ckpt: Checkpoint::capture(&mut net),
             trace: vec![
                 TracePoint {
@@ -496,5 +535,38 @@ mod tests {
             CcqError::CheckpointIo(msg) => assert!(msg.contains("version 99"), "{msg}"),
             other => panic!("expected CheckpointIo, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn velocities_restore_exactly_and_refuse_another_network_untouched() {
+        let velocities = |net: &mut Network| {
+            let mut bits = Vec::new();
+            net.visit_params(&mut |p| {
+                bits.extend(p.velocity.as_slice().iter().map(|v| v.to_bits()))
+            });
+            bits
+        };
+        let mut net = mlp(&[4, 8, 2], PolicyKind::Pact, 0);
+        net.visit_params(&mut |p| p.velocity.fill(0.25));
+        let saved = capture_velocities(&mut net);
+        let want = velocities(&mut net);
+        net.visit_params(&mut |p| p.velocity.fill(f32::NAN));
+        restore_velocities(&mut net, &saved).unwrap();
+        assert_eq!(velocities(&mut net), want);
+
+        let mut other = mlp(&[4, 6, 2], PolicyKind::Pact, 0);
+        let untouched = velocities(&mut other);
+        assert!(matches!(
+            restore_velocities(&mut other, &saved),
+            Err(CcqError::Network(NnError::InvalidConfig(_)))
+        ));
+        assert!(matches!(
+            restore_velocities(&mut other, &saved[1..]),
+            Err(CcqError::Network(NnError::StateMismatch {
+                expected: 4,
+                actual: 3
+            }))
+        ));
+        assert_eq!(velocities(&mut other), untouched);
     }
 }

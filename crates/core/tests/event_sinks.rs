@@ -1,13 +1,13 @@
-//! Sink coverage: [`CsvSink`] must emit bytes identical to the legacy
-//! `CcqReport::trace_csv`/`schedule_csv`, the event stream must fold back
-//! into the report's vectors exactly, [`JsonlSink`] lines must round-trip
+//! Sink coverage: a [`TraceBuffer`] must emit CSV bytes identical to the
+//! legacy `CcqReport::trace_csv`/`schedule_csv` and fold the event stream
+//! back into the report's vectors exactly, [`JsonlSink`] lines must round-trip
 //! through a JSON parser, and the single-stepped [`ccq::DescentEngine`]
 //! must walk the documented phase sequence.
 
 use ccq::event::event_json;
 use ccq::{
-    CcqConfig, CcqReport, CcqRunner, CsvSink, DescentEvent, EventSink, ExpertKind, FanoutSink,
-    JsonlSink, LambdaSchedule, NullSink, Phase, ProbeRecord, RecoveryMode, StartPoint, StepOutcome,
+    CcqConfig, CcqReport, CcqRunner, DescentEvent, EventSink, ExpertKind, FanoutSink, JsonlSink,
+    LambdaSchedule, NullSink, Phase, ProbeRecord, RecoveryMode, StartPoint, StepOutcome,
     StepRecord, TraceBuffer,
 };
 use ccq_data::{gaussian_blobs, BlobsConfig};
@@ -49,31 +49,27 @@ fn fast_config() -> CcqConfig {
     }
 }
 
-fn run_with_all_sinks() -> (CcqReport, TraceBuffer, CsvSink, String) {
+fn run_with_all_sinks() -> (CcqReport, TraceBuffer, String) {
     let (mut net, train, val) = setup();
     let mut runner = CcqRunner::new(fast_config());
     let mut provider = move |_: &mut Rng64| train.clone();
     let mut buf = TraceBuffer::new();
-    let mut csv = CsvSink::new();
     let mut jsonl = JsonlSink::new(Vec::new());
     let report = {
-        let mut fan = FanoutSink::new()
-            .with(&mut buf)
-            .with(&mut csv)
-            .with(&mut jsonl);
-        assert_eq!(fan.len(), 3);
+        let mut fan = FanoutSink::new().with(&mut buf).with(&mut jsonl);
+        assert_eq!(fan.len(), 2);
         runner.run(&mut net, &mut provider, &val, &mut fan).unwrap()
     };
     assert!(jsonl.io_error().is_none());
     let lines = String::from_utf8(jsonl.into_inner()).unwrap();
-    (report, buf, csv, lines)
+    (report, buf, lines)
 }
 
 #[test]
-fn csv_sink_is_byte_identical_to_the_legacy_report_emitters() {
-    let (report, buf, csv, _) = run_with_all_sinks();
-    assert_eq!(csv.trace_csv(), report.trace_csv());
-    assert_eq!(csv.schedule_csv(), report.schedule_csv());
+fn trace_buffer_csv_is_byte_identical_to_the_legacy_report_emitters() {
+    let (report, buf, _) = run_with_all_sinks();
+    assert_eq!(buf.trace_csv(), report.trace_csv());
+    assert_eq!(buf.schedule_csv(), report.schedule_csv());
     // And the raw buffer reproduces the report's vectors bit-for-bit.
     assert_eq!(buf.trace(), &report.trace[..]);
     assert_eq!(buf.steps(), &report.steps[..]);
@@ -81,7 +77,7 @@ fn csv_sink_is_byte_identical_to_the_legacy_report_emitters() {
 
 #[test]
 fn jsonl_stream_round_trips_and_matches_the_report() {
-    let (report, _, _, lines) = run_with_all_sinks();
+    let (report, _, lines) = run_with_all_sinks();
     let events: Vec<Json> = lines
         .lines()
         .map(|l| {
@@ -170,7 +166,7 @@ fn hostile_step() -> StepRecord {
 
 #[test]
 fn schedule_csv_quotes_hostile_labels_rfc4180_style() {
-    let mut csv = CsvSink::new();
+    let mut csv = TraceBuffer::new();
     csv.on_event(&DescentEvent::StepCompleted {
         record: hostile_step(),
     });
@@ -197,7 +193,7 @@ fn schedule_csv_quotes_hostile_labels_rfc4180_style() {
     // Ordinary labels keep the historical unquoted bytes.
     let mut plain = hostile_step();
     plain.label = "conv1".to_string();
-    let mut csv = CsvSink::new();
+    let mut csv = TraceBuffer::new();
     csv.on_event(&DescentEvent::StepCompleted { record: plain });
     assert!(csv.schedule_csv().contains(",conv1,"));
 }

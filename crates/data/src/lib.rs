@@ -22,12 +22,10 @@
 
 mod augment;
 mod blobs;
-mod export;
 mod image;
 mod shapes;
 
 pub use augment::Augment;
 pub use blobs::{gaussian_blobs, BlobsConfig, VectorDataset};
-pub use export::{class_prototypes, to_ppm};
 pub use image::ImageDataset;
 pub use shapes::{synth_cifar, ShapeKind, SynthCifarConfig};

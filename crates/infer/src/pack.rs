@@ -109,7 +109,7 @@ impl PackedModel {
             });
         });
         let mut state = Vec::new();
-        net.visit_state_tensors_tagged(&mut |tag, t| {
+        net.visit_state_tensors(&mut |tag, t| {
             if tag == StateTag::Other {
                 state.push(t.clone());
             }
@@ -214,7 +214,7 @@ impl PackedModel {
     pub fn apply(&self, net: &mut Network) -> Result<()> {
         self.check_structure(net)?;
         let mut state_count = 0;
-        net.visit_state_tensors_tagged(&mut |tag, _| {
+        net.visit_state_tensors(&mut |tag, _| {
             if tag == StateTag::Other {
                 state_count += 1;
             }
@@ -227,7 +227,7 @@ impl PackedModel {
         }
         let mut shape_err = None;
         let mut i = 0;
-        net.visit_state_tensors_tagged(&mut |tag, t| {
+        net.visit_state_tensors(&mut |tag, t| {
             if tag == StateTag::Other {
                 if t.shape() == self.state[i].shape() {
                     *t = self.state[i].clone();

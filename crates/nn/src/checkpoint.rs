@@ -1,9 +1,11 @@
-//! Checkpointing: persist a trained (and possibly quantized) network.
+//! Checkpointing: capture, restore and persist a trained (and possibly
+//! quantized) network.
 //!
-//! A checkpoint captures everything [`Network::snapshot`] captures —
-//! parameter tensors, batch-norm running statistics, PACT `α` values —
-//! *plus* every layer's [`ccq_quant::QuantSpec`], so a mixed-precision
-//! assignment produced by CCQ can be saved and reloaded into a freshly
+//! A checkpoint captures parameter tensors, batch-norm running
+//! statistics, PACT `α` values, LSQ step sizes and every layer's
+//! [`ccq_quant::QuantSpec`]. It is the network's only capture: in memory
+//! it puts a network back after a probe or a failed step, and on disk a
+//! mixed-precision assignment produced by CCQ reloads into a freshly
 //! built network of the same architecture.
 //!
 //! The format is a self-contained little-endian binary layout (magic,
@@ -54,7 +56,7 @@ impl Checkpoint {
         let mut weight_steps = Vec::new();
         let mut act_steps = Vec::new();
         let mut specs = Vec::new();
-        net.visit_state_tensors(&mut |t| tensors.push(t.clone()));
+        net.visit_state_tensors(&mut |_, t| tensors.push(t.clone()));
         net.visit_quant(&mut |h| {
             alphas.push(h.quant.alpha());
             weight_steps.push(h.quant.weight_step());
@@ -71,7 +73,7 @@ impl Checkpoint {
     }
 
     /// Applies the checkpoint to a structurally identical network: state
-    /// tensors, `α` values, and quantization specs.
+    /// tensors, `α` values, LSQ step sizes and quantization specs.
     ///
     /// # Errors
     ///
@@ -79,7 +81,7 @@ impl Checkpoint {
     /// not match.
     pub fn apply(&self, net: &mut Network) -> Result<()> {
         let mut count = 0;
-        net.visit_state_tensors(&mut |_| count += 1);
+        net.visit_state_tensors(&mut |_, _| count += 1);
         if count != self.tensors.len() {
             return Err(NnError::StateMismatch {
                 expected: count,
@@ -94,7 +96,7 @@ impl Checkpoint {
         }
         let mut i = 0;
         let mut shape_ok = true;
-        net.visit_state_tensors(&mut |t| {
+        net.visit_state_tensors(&mut |_, t| {
             if t.shape() == self.tensors[i].shape() {
                 *t = self.tensors[i].clone();
             } else {

@@ -31,7 +31,7 @@ pub enum PackedExec {
     Integer,
 }
 
-/// What a tensor yielded by [`Layer::visit_state_tagged`] holds.
+/// What a tensor yielded by [`Layer::visit_state`] holds.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum StateTag {
     /// The shadow weight tensor of a quantized layer — exactly the
@@ -121,20 +121,15 @@ pub trait Layer: LayerClone + Send + Sync {
     /// order). The default is a no-op for layers without weights.
     fn visit_quant(&mut self, _f: &mut dyn FnMut(QuantHandle<'_>)) {}
 
-    /// Visits every state tensor that a snapshot must capture: parameters
-    /// *plus* non-learnable state such as batch-norm running statistics.
-    /// The default visits only parameters.
-    fn visit_state(&mut self, f: &mut dyn FnMut(&mut Tensor)) {
-        self.visit_params(&mut |p| f(&mut p.value));
-    }
-
-    /// Like [`Layer::visit_state`] — same tensors, same order — but each
-    /// tensor carries a [`StateTag`] so packed serialization can replace
+    /// Visits every state tensor that a checkpoint must capture: parameters
+    /// *plus* non-learnable state such as batch-norm running statistics,
+    /// each with a [`StateTag`] so packed serialization can replace
     /// quantized shadow weights with integer codes and keep the rest as
-    /// `f32`. The default tags everything [`StateTag::Other`]; layers
-    /// with quantized weights and composites override it.
-    fn visit_state_tagged(&mut self, f: &mut dyn FnMut(StateTag, &mut Tensor)) {
-        self.visit_state(&mut |t| f(StateTag::Other, t));
+    /// `f32`. The default visits only parameters, tagged
+    /// [`StateTag::Other`]; layers with quantized weights, extra state or
+    /// children override it.
+    fn visit_state(&mut self, f: &mut dyn FnMut(StateTag, &mut Tensor)) {
+        self.visit_params(&mut |p| f(StateTag::Other, &mut p.value));
     }
 
     /// Runs the layer on `x` using its packed integer weights when a

@@ -1,6 +1,6 @@
 //! 2-D batch normalization.
 
-use crate::layer::{Layer, Mode, PackedExec, QuantHandle};
+use crate::layer::{Layer, Mode, PackedExec, QuantHandle, StateTag};
 use crate::{NnError, Param, Result};
 use ccq_tensor::ops::channel_stats;
 use ccq_tensor::{Tensor, TensorError};
@@ -231,11 +231,11 @@ impl Layer for BatchNorm2d {
 
     fn visit_quant(&mut self, _f: &mut dyn FnMut(QuantHandle<'_>)) {}
 
-    fn visit_state(&mut self, f: &mut dyn FnMut(&mut Tensor)) {
-        f(&mut self.gamma.value);
-        f(&mut self.beta.value);
-        f(&mut self.running_mean);
-        f(&mut self.running_var);
+    fn visit_state(&mut self, f: &mut dyn FnMut(StateTag, &mut Tensor)) {
+        f(StateTag::Other, &mut self.gamma.value);
+        f(StateTag::Other, &mut self.beta.value);
+        f(StateTag::Other, &mut self.running_mean);
+        f(StateTag::Other, &mut self.running_var);
     }
 
     fn name(&self) -> &str {
@@ -346,7 +346,7 @@ mod tests {
     fn state_visitor_includes_running_stats() {
         let mut bn = BatchNorm2d::new("bn", 2);
         let mut count = 0;
-        bn.visit_state(&mut |_| count += 1);
+        bn.visit_state(&mut |_, _| count += 1);
         assert_eq!(count, 4); // gamma, beta, running mean, running var
     }
 

@@ -122,7 +122,7 @@ impl Layer for BasicBlock {
         }
     }
 
-    fn visit_state(&mut self, f: &mut dyn FnMut(&mut Tensor)) {
+    fn visit_state(&mut self, f: &mut dyn FnMut(StateTag, &mut Tensor)) {
         self.conv1.visit_state(f);
         self.bn1.visit_state(f);
         self.conv2.visit_state(f);
@@ -130,17 +130,6 @@ impl Layer for BasicBlock {
         if let Some((c, b)) = &mut self.shortcut {
             c.visit_state(f);
             b.visit_state(f);
-        }
-    }
-
-    fn visit_state_tagged(&mut self, f: &mut dyn FnMut(StateTag, &mut Tensor)) {
-        self.conv1.visit_state_tagged(f);
-        self.bn1.visit_state_tagged(f);
-        self.conv2.visit_state_tagged(f);
-        self.bn2.visit_state_tagged(f);
-        if let Some((c, b)) = &mut self.shortcut {
-            c.visit_state_tagged(f);
-            b.visit_state_tagged(f);
         }
     }
 
@@ -291,7 +280,7 @@ impl Layer for Bottleneck {
         }
     }
 
-    fn visit_state(&mut self, f: &mut dyn FnMut(&mut Tensor)) {
+    fn visit_state(&mut self, f: &mut dyn FnMut(StateTag, &mut Tensor)) {
         self.conv1.visit_state(f);
         self.bn1.visit_state(f);
         self.conv2.visit_state(f);
@@ -301,19 +290,6 @@ impl Layer for Bottleneck {
         if let Some((c, b)) = &mut self.shortcut {
             c.visit_state(f);
             b.visit_state(f);
-        }
-    }
-
-    fn visit_state_tagged(&mut self, f: &mut dyn FnMut(StateTag, &mut Tensor)) {
-        self.conv1.visit_state_tagged(f);
-        self.bn1.visit_state_tagged(f);
-        self.conv2.visit_state_tagged(f);
-        self.bn2.visit_state_tagged(f);
-        self.conv3.visit_state_tagged(f);
-        self.bn3.visit_state_tagged(f);
-        if let Some((c, b)) = &mut self.shortcut {
-            c.visit_state_tagged(f);
-            b.visit_state_tagged(f);
         }
     }
 

@@ -120,11 +120,6 @@ impl QConv2d {
         &self.quant
     }
 
-    /// Mutable access to the quantization state.
-    pub fn quant_mut(&mut self) -> &mut LayerQuant {
-        &mut self.quant
-    }
-
     /// Number of weight scalars.
     pub fn weight_count(&self) -> usize {
         self.weight.len()
@@ -257,7 +252,7 @@ impl Layer for QConv2d {
         });
     }
 
-    fn visit_state_tagged(&mut self, f: &mut dyn FnMut(StateTag, &mut Tensor)) {
+    fn visit_state(&mut self, f: &mut dyn FnMut(StateTag, &mut Tensor)) {
         f(StateTag::QuantWeight, &mut self.weight.value);
         if let Some(b) = &mut self.bias {
             f(StateTag::Other, &mut b.value);

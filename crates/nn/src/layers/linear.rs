@@ -70,11 +70,6 @@ impl QLinear {
         &self.quant
     }
 
-    /// Mutable access to the quantization state.
-    pub fn quant_mut(&mut self) -> &mut LayerQuant {
-        &mut self.quant
-    }
-
     /// Adds the bias row-wise in place (shared by the fake-quant and
     /// packed forward paths so both add in the same order).
     fn add_bias(&self, y: &mut Tensor) {
@@ -153,7 +148,7 @@ impl Layer for QLinear {
         });
     }
 
-    fn visit_state_tagged(&mut self, f: &mut dyn FnMut(StateTag, &mut Tensor)) {
+    fn visit_state(&mut self, f: &mut dyn FnMut(StateTag, &mut Tensor)) {
         f(StateTag::QuantWeight, &mut self.weight.value);
         f(StateTag::Other, &mut self.bias.value);
     }

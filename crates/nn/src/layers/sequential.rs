@@ -138,15 +138,9 @@ impl Layer for Sequential {
         }
     }
 
-    fn visit_state(&mut self, f: &mut dyn FnMut(&mut Tensor)) {
+    fn visit_state(&mut self, f: &mut dyn FnMut(StateTag, &mut Tensor)) {
         for layer in &mut self.layers {
             layer.visit_state(f);
-        }
-    }
-
-    fn visit_state_tagged(&mut self, f: &mut dyn FnMut(StateTag, &mut Tensor)) {
-        for layer in &mut self.layers {
-            layer.visit_state_tagged(f);
         }
     }
 

@@ -56,7 +56,7 @@ pub mod train;
 
 pub use error::NnError;
 pub use layer::{Layer, Mode, PackedExec, QuantHandle, StateTag};
-pub use network::{Network, NetworkState, PackOutcome, QuantLayerInfo};
+pub use network::{Network, PackOutcome, QuantLayerInfo};
 pub use optim::Sgd;
 pub use param::Param;
 

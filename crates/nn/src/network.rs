@@ -1,4 +1,4 @@
-//! The network wrapper: traversal, snapshots, quantization plumbing.
+//! The network wrapper: traversal, state visits, quantization plumbing.
 
 use crate::layer::{Layer, Mode, PackedExec, QuantHandle, StateTag};
 use crate::layers::Sequential;
@@ -38,15 +38,6 @@ pub struct QuantLayerInfo {
     pub spec: QuantSpec,
 }
 
-/// A full snapshot of network state: every parameter and buffer tensor plus
-/// the learned PACT `α` values. Produced by [`Network::snapshot`] and
-/// consumed by [`Network::restore`].
-#[derive(Debug, Clone)]
-pub struct NetworkState {
-    tensors: Vec<Tensor>,
-    alphas: Vec<f32>,
-}
-
 /// A trainable network: a root [`Sequential`] plus traversal helpers.
 ///
 /// The traversal order of [`Network::visit_quant`] defines CCQ's layer
@@ -61,8 +52,8 @@ pub struct NetworkState {
 /// Every network carries a monotonically increasing *generation*: any
 /// operation that can change what an `Eval`-mode forward pass computes
 /// from a given input — parameter or state-tensor mutation, a backward
-/// pass, a `Train`-mode forward (batch-norm running stats), a snapshot
-/// restore — bumps it. Quantization-spec changes deliberately do **not**
+/// pass, a `Train`-mode forward (batch-norm running stats), a checkpoint
+/// apply — bumps it. Quantization-spec changes deliberately do **not**
 /// bump it: a competition probe flips one layer's spec and the cached
 /// activations *upstream* of that layer stay exact (each layer
 /// quantizes its own input and weights internally). The
@@ -189,9 +180,11 @@ impl Network {
         self.root.child_quant_counts()
     }
 
-    /// Clears every parameter gradient.
+    /// Clears every parameter gradient and every quantizer's `α` and LSQ
+    /// step gradients.
     pub fn zero_grad(&mut self) {
         self.visit_params(&mut |p| p.zero_grad());
+        self.visit_quant(&mut |h| h.quant.zero_grad());
     }
 
     /// Visits every learnable parameter in deterministic order.
@@ -282,11 +275,13 @@ impl Network {
     }
 
     /// Visits every state tensor (parameters plus batch-norm running
-    /// statistics) in deterministic order — the set a snapshot or
-    /// checkpoint captures.
+    /// statistics) in deterministic order — the set a
+    /// [`crate::checkpoint::Checkpoint`] captures — each with a
+    /// [`StateTag`] distinguishing quantized shadow weights from
+    /// everything else.
     ///
     /// Conservatively bumps the generation (callers get `&mut Tensor`).
-    pub fn visit_state_tensors(&mut self, f: &mut dyn FnMut(&mut Tensor)) {
+    pub fn visit_state_tensors(&mut self, f: &mut dyn FnMut(StateTag, &mut Tensor)) {
         self.generation += 1;
         self.root.visit_state(f);
     }
@@ -296,17 +291,8 @@ impl Network {
     /// post-recovery health check.
     pub fn all_finite(&mut self) -> bool {
         let mut ok = true;
-        self.visit_state_tensors(&mut |t| ok &= t.all_finite());
+        self.visit_state_tensors(&mut |_, t| ok &= t.all_finite());
         ok
-    }
-
-    /// Like [`Network::visit_state_tensors`] — same tensors, same order
-    /// — but each tensor carries a [`StateTag`] distinguishing quantized
-    /// shadow weights from everything else. Conservatively bumps the
-    /// generation (callers get `&mut Tensor`).
-    pub fn visit_state_tensors_tagged(&mut self, f: &mut dyn FnMut(StateTag, &mut Tensor)) {
-        self.generation += 1;
-        self.root.visit_state_tagged(f);
     }
 
     /// Packs every quantizable layer's weights into integer codes and
@@ -392,57 +378,6 @@ impl Network {
         }
         self.root.forward_packed(x, exec)
     }
-
-    /// Captures every state tensor (parameters + batch-norm running stats)
-    /// and PACT `α` value.
-    pub fn snapshot(&mut self) -> NetworkState {
-        let mut tensors = Vec::new();
-        self.root.visit_state(&mut |t| tensors.push(t.clone()));
-        let mut alphas = Vec::new();
-        self.visit_quant(&mut |h| alphas.push(h.quant.alpha()));
-        NetworkState { tensors, alphas }
-    }
-
-    /// Restores a snapshot taken from this network.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NnError::StateMismatch`] when the snapshot does not match
-    /// the network's structure.
-    pub fn restore(&mut self, state: &NetworkState) -> Result<()> {
-        self.generation += 1;
-        let mut count = 0;
-        self.root.visit_state(&mut |_| count += 1);
-        if count != state.tensors.len() {
-            return Err(NnError::StateMismatch {
-                expected: count,
-                actual: state.tensors.len(),
-            });
-        }
-        let mut i = 0;
-        let mut shape_ok = true;
-        self.root.visit_state(&mut |t| {
-            if t.shape() == state.tensors[i].shape() {
-                *t = state.tensors[i].clone();
-            } else {
-                shape_ok = false;
-            }
-            i += 1;
-        });
-        if !shape_ok {
-            return Err(NnError::InvalidConfig(
-                "snapshot tensor shapes do not match".into(),
-            ));
-        }
-        let mut j = 0;
-        self.visit_quant(&mut |h| {
-            if j < state.alphas.len() {
-                h.quant.set_alpha(state.alphas[j]);
-            }
-            j += 1;
-        });
-        Ok(())
-    }
 }
 
 #[cfg(test)]
@@ -495,39 +430,6 @@ mod tests {
     fn set_quant_spec_panics_out_of_range() {
         let mut n = net();
         n.set_quant_spec(5, QuantSpec::full_precision(PolicyKind::Pact));
-    }
-
-    #[test]
-    fn snapshot_restore_round_trip() {
-        let mut n = net();
-        let x = Tensor::ones(&[1, 3]);
-        let before = n.forward(&x, Mode::Eval).unwrap();
-        let snap = n.snapshot();
-        // Perturb all params.
-        n.visit_params(&mut |p| p.value.map_in_place(|v| v + 1.0));
-        let perturbed = n.forward(&x, Mode::Eval).unwrap();
-        assert_ne!(before.as_slice(), perturbed.as_slice());
-        n.restore(&snap).unwrap();
-        let restored = n.forward(&x, Mode::Eval).unwrap();
-        assert_eq!(before.as_slice(), restored.as_slice());
-    }
-
-    #[test]
-    fn restore_rejects_wrong_structure() {
-        let mut a = net();
-        let snap = a.snapshot();
-        let mut r = rng(1);
-        let mut b = Network::new(Sequential::new(vec![Box::new(QLinear::new(
-            "only",
-            3,
-            2,
-            QuantSpec::full_precision(PolicyKind::Pact),
-            &mut r,
-        ))]));
-        assert!(matches!(
-            b.restore(&snap),
-            Err(NnError::StateMismatch { .. })
-        ));
     }
 
     #[test]
@@ -607,7 +509,7 @@ mod tests {
     fn tagged_state_visit_marks_quant_weights() {
         let mut n = net();
         let mut tags = Vec::new();
-        n.visit_state_tensors_tagged(&mut |tag, t| tags.push((tag, t.len())));
+        n.visit_state_tensors(&mut |tag, t| tags.push((tag, t.len())));
         // fc1 weight, fc1 bias, fc2 weight, fc2 bias.
         assert_eq!(
             tags,

@@ -5,6 +5,7 @@
 //! the cache rather than silently serve stale activations.
 
 use ccq_nn::cache::ActivationCache;
+use ccq_nn::checkpoint::Checkpoint;
 use ccq_nn::layers::{QLinear, Relu, Sequential};
 use ccq_nn::train::{evaluate, evaluate_from, train_epoch, Batch};
 use ccq_nn::{Layer, Mode, Network, NnError, Sgd};
@@ -124,7 +125,7 @@ proptest! {
     }
 
     /// Every mutation class — optimizer step, train-mode epoch, weight
-    /// visit, snapshot restore — bumps the generation and makes
+    /// visit, checkpoint apply — bumps the generation and makes
     /// `evaluate_from` refuse the cache instead of serving stale
     /// activations. A mismatched batch set is refused too.
     #[test]
@@ -152,8 +153,8 @@ proptest! {
             }
             1 => net.visit_params(&mut |p| p.value.map_in_place(|v| v * 1.5)),
             2 => {
-                let snap = net.snapshot();
-                net.restore(&snap).unwrap();
+                let snap = Checkpoint::capture(&mut net);
+                snap.apply(&mut net).unwrap();
             }
             _ => {
                 net.forward(&val[0].images, Mode::Train).unwrap();

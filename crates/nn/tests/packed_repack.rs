@@ -8,6 +8,7 @@
 //! - a weight code beyond its grid's `q_max` (a crafted payload) still
 //!   fails with a typed `InvalidArgument`, not a wrong sum.
 
+use ccq_nn::checkpoint::Checkpoint;
 use ccq_nn::layers::{BasicBlock, BatchNorm2d, GlobalAvgPool, QConv2d, QLinear, Relu, Sequential};
 use ccq_nn::{Network, NnError, PackedExec};
 use ccq_quant::grid::WeightGrid;
@@ -52,7 +53,7 @@ fn repacking_moved_weights_equals_a_fresh_pack() {
     );
 
     // Every weight takes another net's value, then the net packs again.
-    moved.restore(&net(2).snapshot()).unwrap();
+    Checkpoint::capture(&mut net(2)).apply(&mut moved).unwrap();
     moved.pack_weights();
     // The fresh net runs on a thread of its own, so it shares no
     // per-thread state with the one under test.

@@ -126,6 +126,13 @@ impl LayerQuant {
         std::mem::take(&mut self.alpha_grad)
     }
 
+    /// Clears the accumulated `∂L/∂α` and LSQ step gradients.
+    pub fn zero_grad(&mut self) {
+        self.alpha_grad = 0.0;
+        self.weight_step_grad = 0.0;
+        self.act_step_grad = 0.0;
+    }
+
     /// The learned LSQ weight step (`<= 0` before calibration).
     pub fn weight_step(&self) -> f32 {
         self.weight_step

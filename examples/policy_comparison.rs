@@ -15,6 +15,7 @@
 
 use ccq_repro::data::{gaussian_blobs, BlobsConfig};
 use ccq_repro::models::mlp;
+use ccq_repro::nn::checkpoint::Checkpoint;
 use ccq_repro::nn::train::{evaluate, train_epoch};
 use ccq_repro::nn::Sgd;
 use ccq_repro::quant::{quantization_sqnr_db, BitWidth, LayerQuant, PolicyKind, QuantSpec};
@@ -57,7 +58,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     for _ in 0..20 {
         train_epoch(&mut source, &train_b, &mut opt, &mut r)?;
     }
-    let state = source.snapshot();
+    let state = Checkpoint::capture(&mut source);
 
     println!("\npost-training accuracy of one trained MLP, per policy (no fine-tuning):");
     println!(
@@ -70,7 +71,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             // A structurally identical network carrying the same trained
             // weights, with this policy installed.
             let mut target = mlp(&[8, 24, 4], policy, 3);
-            target.restore(&state)?;
+            state.apply(&mut target)?;
             let width = if bits == 32 {
                 BitWidth::FP32
             } else {

@@ -143,11 +143,12 @@ target/release/examples/mixed_precision_search --resume mixed_precision_search.c
 grep '^bit pattern:' results/search_hedge.log > results/search_hedge.pattern || exit 1
 grep '^bit pattern:' results/search_hedge_resume.log | cmp - results/search_hedge.pattern || exit 1
 
-# --- bench-smoke gate: the snapshot benchmark must run at one rep, once
-# pinned to one thread and once at the default thread count (that run
-# times the competition and evaluate rows at 1 thread and at the
-# default, every other row at the default), write parseable JSON, keep
-# incremental probing no slower than full-forward probing, and keep
+# --- bench-smoke gate: the snapshot benchmark must run at one rep (five
+# for the plain-CNN rows), once pinned to one thread and once at the
+# default thread count (that run times the competition and evaluate rows
+# at 1 thread and at the default, every other row at the default), write
+# parseable JSON, keep incremental probing to the full run's probe count
+# on less of the forward work and no slower than full-forward probing, and keep
 # packed execution bit-exact with >=2x compression (bench_perf --smoke
 # self-checks its snapshot and enforces these floors) ---
 cargo build --release -p ccq-bench 2> results/build.log || exit 1

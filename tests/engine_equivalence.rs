@@ -99,7 +99,7 @@ fn digest(report: &CcqReport, net: &mut Network, pi: &[f32]) -> String {
     // FNV-1a fold over every state scalar: any single-bit drift in the
     // final weights, batch-norm stats, or α values changes the digest.
     let mut h: u64 = 0xcbf29ce484222325;
-    net.visit_state_tensors(&mut |t| {
+    net.visit_state_tensors(&mut |_, t| {
         for &v in t.as_slice() {
             h = (h ^ v.to_bits() as u64).wrapping_mul(0x100000001b3);
         }

@@ -58,7 +58,7 @@ fn packed_net(kind: ModelKind, policy: PolicyKind, seed: u64) -> Network {
         seed,
     });
     let mut r = rng(seed ^ 0x5eed);
-    net.visit_state_tensors_tagged(&mut |tag, t| {
+    net.visit_state_tensors(&mut |tag, t| {
         if tag == StateTag::Other {
             *t = Init::Uniform { lo: 0.25, hi: 2.0 }.sample(t.shape(), &mut r);
         }

@@ -134,9 +134,9 @@ fn interrupted_plus_resumed_equals_uninterrupted_bit_for_bit() {
 
     // The networks themselves agree scalar-for-scalar.
     let mut a = Vec::new();
-    full_net.visit_state_tensors(&mut |t| a.extend(t.as_slice().iter().map(|v| v.to_bits())));
+    full_net.visit_state_tensors(&mut |_, t| a.extend(t.as_slice().iter().map(|v| v.to_bits())));
     let mut b = Vec::new();
-    res_net.visit_state_tensors(&mut |t| b.extend(t.as_slice().iter().map(|v| v.to_bits())));
+    res_net.visit_state_tensors(&mut |_, t| b.extend(t.as_slice().iter().map(|v| v.to_bits())));
     assert_eq!(a, b);
 }
 
@@ -175,7 +175,7 @@ fn legacy_v1_checkpoint_resumes_as_hedge_bit_for_bit() {
             .resume(from, &mut net, &mut provider, &val, &mut NullSink)
             .unwrap();
         let mut scalars = Vec::new();
-        net.visit_state_tensors(&mut |t| {
+        net.visit_state_tensors(&mut |_, t| {
             scalars.extend(t.as_slice().iter().map(|v| v.to_bits()));
         });
         (report, scalars)
