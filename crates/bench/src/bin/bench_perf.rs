@@ -10,6 +10,10 @@
 //!   and one recovery (training) epoch — the paper's §III-B claim that a
 //!   competition, a feed-forward on a small validation set, costs less
 //!   than recovery training;
+//! - one training epoch and one `evaluate` of the `ccq-serve` demo job's
+//!   8→16→16→4 PACT MLP on its data (4-class blobs of dim 8, 12 train
+//!   batches of 16, 2 validation batches of 32): every f32 product there
+//!   runs the small-product kernel;
 //! - fake-quant, packed-dequant and packed-integer forwards of
 //!   ResNet20/18/50 under a mixed int8/int4/int2 ladder;
 //! - the packed-integer forward at the geometry of perfbench's `infer`
@@ -42,7 +46,8 @@
 //! forward work and is no slower at 1 thread, dequant is bit-exact,
 //! integer execution is within `INT_BOUND`, compression is ≥ 2×, every
 //! unsplit row ran at the default thread count, the `infer`-geometry
-//! forward takes less than one minor fault per call and the demo
+//! forward takes less than one minor fault per call, every product shape
+//! of the demo MLP equals the naive triple loop bit for bit and the demo
 //! artifact round-trips — the CI gate.
 
 // Tables and CSVs go to stdout by design.
@@ -51,13 +56,13 @@
 
 use ccq::{Competition, LambdaSchedule, ProbeCacheStats};
 use ccq_bench::{reps_from_env, time_interleaved_ms};
-use ccq_data::{synth_cifar, SynthCifarConfig};
+use ccq_data::{gaussian_blobs, synth_cifar, BlobsConfig, SynthCifarConfig};
 use ccq_infer::{arch, LayerPayload, PackedModel};
-use ccq_models::{plain_cnn, ModelConfig, ModelKind};
+use ccq_models::{mlp, plain_cnn, ModelConfig, ModelKind};
 use ccq_nn::train::{evaluate, train_epoch, Batch};
 use ccq_nn::{Mode, Network, PackedExec, Sgd};
 use ccq_quant::{BitLadder, BitWidth, PolicyKind, QuantSpec};
-use ccq_tensor::ops::matmul;
+use ccq_tensor::ops::{matmul, matmul_a_bt, matmul_at_b, transpose2d};
 use ccq_tensor::par::{num_threads, with_threads};
 use ccq_tensor::{rng, Init, Tensor};
 use std::hint::black_box;
@@ -84,6 +89,12 @@ const INFER_WORKLOAD: &str = "resnet50_style_infer";
 /// the two competition variants' fastest times, and a single rep let a
 /// busy host's noise fail it on unchanged code (0.935×).
 const SMOKE_CNN_REPS: usize = 5;
+
+/// Layer widths of the `ccq-serve` demo job's MLP (`JobSpec::demo`).
+const DEMO_MLP: [usize; 4] = [8, 16, 16, 4];
+
+/// The demo job's training and validation batch sizes.
+const DEMO_BATCHES: [usize; 2] = [16, 32];
 
 /// Forwards counted, after two warm-up forwards, for a row's minor
 /// faults per forward.
@@ -157,6 +168,78 @@ fn naive_matmul(a: &Tensor, b: &Tensor) -> Tensor {
         }
     }
     Tensor::from_vec(out, &[m, n]).expect("shape matches")
+}
+
+/// Times one training epoch and one `evaluate` of the demo job's MLP on
+/// its data: 4-class blobs of dim 8, 192 training samples in batches of
+/// 16 and 64 validation samples in batches of 32.
+fn bench_demo_mlp(rows: &mut Vec<Row>, reps: usize) {
+    let (train, val) = gaussian_blobs(&BlobsConfig {
+        classes: 4,
+        dim: DEMO_MLP[0],
+        samples_per_class: 64,
+        std: 0.4,
+        seed: 20,
+    })
+    .split_at(192);
+    let (train, val) = (train.batches(DEMO_BATCHES[0]), val.batches(DEMO_BATCHES[1]));
+    let mut net = mlp(&DEMO_MLP, PolicyKind::Pact, 5);
+    // Training moves the weights, so it runs on its own copy.
+    let mut recovering = mlp(&DEMO_MLP, PolicyKind::Pact, 5);
+    let (mut opt, mut r) = (Sgd::new(0.05).momentum(0.9), rng(2));
+    let variants = [("mlp_train_epoch", "train_epoch"), ("mlp_evaluate", "eval")];
+    time_rows(rows, reps, rows_for(&variants, &[num_threads()]), |row| {
+        if row.variant == "eval" {
+            black_box(evaluate(&mut net, &val).expect("eval"));
+        } else {
+            black_box(train_epoch(&mut recovering, &train, &mut opt, &mut r).expect("train"));
+        }
+    });
+}
+
+/// Checks each f32 product of the demo MLP's forward and backward, at
+/// both batch sizes, against [`naive_matmul`] bit for bit, and returns
+/// how many products it checked. The data are finite, so the naive
+/// loop's zero skip cannot change a bit.
+fn check_demo_mlp_products() -> Result<usize, String> {
+    let mut r = rng(3);
+    let mut sample = |dims: &[usize]| Init::Uniform { lo: -1.0, hi: 1.0 }.sample(dims, &mut r);
+    let mut checked = 0;
+    for batch in DEMO_BATCHES {
+        for dims in DEMO_MLP.windows(2) {
+            let (x, w, g) = (
+                sample(&[batch, dims[0]]),
+                sample(&[dims[1], dims[0]]),
+                sample(&[batch, dims[1]]),
+            );
+            let tr = |t: &Tensor| transpose2d(t).expect("matrix");
+            for (what, got, want) in [
+                (
+                    "matmul_a_bt",
+                    matmul_a_bt(&x, &w),
+                    naive_matmul(&x, &tr(&w)),
+                ),
+                (
+                    "matmul_at_b",
+                    matmul_at_b(&g, &x),
+                    naive_matmul(&tr(&g), &x),
+                ),
+                ("matmul", matmul(&g, &w), naive_matmul(&g, &w)),
+            ] {
+                let got = got.map_err(|e| format!("{what}: {e}"))?;
+                let same = (got.as_slice().iter().zip(want.as_slice()))
+                    .all(|(a, b)| a.to_bits() == b.to_bits());
+                if got.shape() != want.shape() || !same {
+                    return Err(format!(
+                        "{what} at batch {batch}, layer {}→{}: differs from the naive loop",
+                        dims[0], dims[1]
+                    ));
+                }
+                checked += 1;
+            }
+        }
+    }
+    Ok(checked)
 }
 
 /// One competition run at fixed seed; `incremental` selects the probe
@@ -428,10 +511,11 @@ fn smoke_check(
             ));
         }
     }
+    let products = check_demo_mlp_products()?;
     let demo = write_demo_artifact(out_path);
     Ok(format!(
         "incremental probing {speedup:.3}x over full on {fraction:.3} of its forward work; \
-         demo artifact at {demo}"
+         {products} demo-MLP products equal the naive loop; demo artifact at {demo}"
     ))
 }
 
@@ -524,6 +608,9 @@ fn main() -> ExitCode {
             black_box(train_epoch(&mut recovering, &train, &mut opt, &mut r).expect("train"));
         }
     });
+
+    eprintln!("demo MLP {DEMO_MLP:?}: train epoch, evaluate");
+    bench_demo_mlp(&mut rows, reps);
 
     let mut models = Vec::new();
     for workload in [

@@ -1,39 +1,44 @@
 //! Dense matrix products (row-major, `f32`).
 //!
 //! Every product runs on its caller's thread, and each output element
-//! accumulates over `k` in strictly ascending order.
+//! is one sum over `k` in strictly ascending order, begun at `+0.0`: the
+//! order of a naive triple loop. Two size regimes keep that order:
 //!
-//! The microkernels are register-blocked: `matmul` streams each `B` row
-//! through [`MR`] output rows at once (amortizing the `B` loads that
-//! dominate the naive i-k-j loop), and `matmul_a_bt` computes [`MR`]
-//! dot products per pass over an `A` row. Blocking groups *rows*, never
-//! partial sums, which is what preserves bit-identity.
+//! - Below `PACK_MIN_FLOPS` multiply-adds, all three products run one
+//!   output-stationary kernel. It reads `A` as `[m, k]` or, for
+//!   `matmul_at_b`, as the stored `[k, m]` transpose, and `B` as `[k, n]`
+//!   rows (`matmul_a_bt` transposes its `B` first). Each output block
+//!   ([`MR`] rows by `2·NR` columns, one row by `8·NR` past the last
+//!   multiple of [`MR`] rows, then [`NR`], 4 and 1 columns) is summed in
+//!   a local array and stored once.
+//! - Above it, `matmul` and `matmul_a_bt` switch to a BLIS-style
+//!   *packed* path: `B` is packed once into k-major panels of [`NR`]
+//!   columns, each [`MR`]-row block of `A` is packed p-major, and an
+//!   unrolled [`MR`]×[`NR`] register kernel accumulates 32 independent
+//!   dot products per tile. Ragged edges are zero-padded at pack time (a
+//!   padded lane accumulates garbage that is simply never written back),
+//!   so one kernel covers every shape. `matmul_at_b` keeps an axpy loop
+//!   over the rows of `B`, which skips the products of a zero `A` entry.
 //!
-//! Above `PACK_MIN_FLOPS`, `matmul` and `matmul_a_bt` switch to a
-//! BLIS-style *packed* path: `B` is packed once into k-major panels of
-//! [`NR`] columns, each [`MR`]-row block of `A` is packed p-major, and an
-//! unrolled [`MR`]×[`NR`] register kernel accumulates 32 independent
-//! dot products per tile. Ragged edges are zero-padded at pack time (a
-//! padded lane accumulates garbage that is simply never written back),
-//! so one kernel covers every shape. Packing is a layout change only:
-//! each output element is still one accumulator fed over `k` in strictly
-//! ascending order, so the packed path is bit-identical to the unpacked
-//! kernels and to a naive triple loop.
+//! Blocking and packing change which sums run side by side, never the
+//! order within one, so both regimes are bit-identical to each other and
+//! to the naive loop.
 
 use crate::{Result, Tensor, TensorError};
 
-/// Register-blocked row group size for the microkernels.
+/// Output rows per register block of both kernels.
 const MR: usize = 4;
 
-/// Column-panel width of the packed microkernel (one 8-lane FMA vector).
+/// Output columns per register block of both kernels (one 8-lane
+/// vector).
 const NR: usize = 8;
 
 /// Square tile edge for the cache-blocked transpose.
 const TRANSPOSE_TILE: usize = 32;
 
 /// Minimum number of multiply-adds before the packed-panel path pays for
-/// its packing buffers; below this the plain register-blocked kernels
-/// win.
+/// its packing buffers; below this the small-product kernel wins.
+/// `matmul_at_b` keeps its axpy loop above it.
 const PACK_MIN_FLOPS: usize = 1 << 14;
 
 fn check_rank2(t: &Tensor) -> Result<(usize, usize)> {
@@ -41,54 +46,85 @@ fn check_rank2(t: &Tensor) -> Result<(usize, usize)> {
     Ok((t.shape()[0], t.shape()[1]))
 }
 
-/// Accumulates `C = A·B` into `ov` (all of `C`). `A: [m, k]`,
-/// `B: [k, n]`.
-fn matmul_rows(av: &[f32], bv: &[f32], ov: &mut [f32], k: usize, n: usize) {
-    if n == 0 {
-        return;
-    }
-    let rows = ov.len() / n;
-    let mut i = 0;
-    while i < rows {
-        let block = (rows - i).min(MR);
-        let a_block = &av[i * k..(i + block) * k];
-        let out_block = &mut ov[i * n..(i + block) * n];
-        if block == MR {
-            // Four output rows per pass over each B row: one load of
-            // b[j] feeds four fused multiply-adds.
-            let (o0, rest) = out_block.split_at_mut(n);
-            let (o1, rest) = rest.split_at_mut(n);
-            let (o2, o3) = rest.split_at_mut(n);
-            for p in 0..k {
-                let (a0, a1, a2, a3) = (
-                    a_block[p],
-                    a_block[k + p],
-                    a_block[2 * k + p],
-                    a_block[3 * k + p],
-                );
-                let brow = &bv[p * n..(p + 1) * n];
-                for j in 0..n {
-                    let b = brow[j];
-                    o0[j] += a0 * b;
-                    o1[j] += a1 * b;
-                    o2[j] += a2 * b;
-                    o3[j] += a3 * b;
-                }
-            }
+/// The one kernel of all three products below `PACK_MIN_FLOPS`:
+/// `C = A·B` into `ov: [m, n]`, `n > 0`, for `B: [k, n]` row-major and
+/// `A: [m, k]` row-major or, with `A_T`, stored as `Aᵀ: [k, m]`. Each
+/// output block is summed in a local array from `+0.0` over ascending
+/// `p` and stored once. A wide block is [`MR`] rows by `2·NR` columns,
+/// or one row by `8·NR` for the last `m mod MR` rows: eight 8-lane
+/// sums either way, enough independent chains to hide the add latency.
+/// The columns a wide block leaves go in blocks of [`NR`], 4 and 1.
+fn small_gemm<const A_T: bool>(av: &[f32], bv: &[f32], ov: &mut [f32], n: usize) {
+    let (m, k) = (ov.len() / n, bv.len() / n);
+    for (ib, orows) in ov.chunks_mut(MR * n).enumerate() {
+        if orows.len() == MR * n {
+            small_rows::<MR, { 2 * NR }, A_T>(av, bv, orows, (m, k, n), ib * MR);
         } else {
-            for bi in 0..block {
-                let arow = &a_block[bi * k..(bi + 1) * k];
-                let orow = &mut out_block[bi * n..(bi + 1) * n];
-                for (p, &aip) in arow.iter().enumerate() {
-                    let brow = &bv[p * n..(p + 1) * n];
-                    for (o, &b) in orow.iter_mut().zip(brow) {
-                        *o += aip * b;
-                    }
+            for (ii, orow) in orows.chunks_exact_mut(n).enumerate() {
+                small_rows::<1, { 8 * NR }, A_T>(av, bv, orow, (m, k, n), ib * MR + ii);
+            }
+        }
+    }
+}
+
+/// Output rows `[i0, i0 + R)` of [`small_gemm`] into `orows: [R, n]`,
+/// in blocks of `WIDE` columns, then [`NR`], 4 and 1.
+#[inline(always)]
+fn small_rows<const R: usize, const WIDE: usize, const A_T: bool>(
+    av: &[f32],
+    bv: &[f32],
+    orows: &mut [f32],
+    dims: (usize, usize, usize),
+    i0: usize,
+) {
+    let j = small_blocks::<R, WIDE, A_T>(av, bv, orows, dims, i0, 0);
+    let j = small_blocks::<R, NR, A_T>(av, bv, orows, dims, i0, j);
+    let j = small_blocks::<R, 4, A_T>(av, bv, orows, dims, i0, j);
+    small_blocks::<R, 1, A_T>(av, bv, orows, dims, i0, j);
+}
+
+/// Sums the `R×W` blocks of `orows` from column `j` while a whole block
+/// fits, and returns the first column left.
+#[inline(always)]
+fn small_blocks<const R: usize, const W: usize, const A_T: bool>(
+    av: &[f32],
+    bv: &[f32],
+    orows: &mut [f32],
+    (m, k, n): (usize, usize, usize),
+    i0: usize,
+    mut j: usize,
+) -> usize {
+    // `A`'s rows, sliced once so the `p` loop indexes them without
+    // bounds checks; with `A_T` the `R` entries at one `p` are adjacent.
+    let rows: [&[f32]; R] = std::array::from_fn(|r| {
+        if A_T {
+            &[]
+        } else {
+            &av[(i0 + r) * k..(i0 + r + 1) * k]
+        }
+    });
+    while j + W <= n {
+        let mut acc = [[0.0f32; W]; R];
+        for p in 0..k {
+            let b = &bv[p * n + j..p * n + j + W];
+            let a: [f32; R] = if A_T {
+                let col = &av[p * m + i0..p * m + i0 + R];
+                std::array::from_fn(|r| col[r])
+            } else {
+                std::array::from_fn(|r| rows[r][p])
+            };
+            for (accr, &x) in acc.iter_mut().zip(&a) {
+                for (c, &y) in accr.iter_mut().zip(b) {
+                    *c += x * y;
                 }
             }
         }
-        i += block;
+        for (r, accr) in acc.iter().enumerate() {
+            orows[r * n + j..r * n + j + W].copy_from_slice(accr);
+        }
+        j += W;
     }
+    j
 }
 
 /// `B` packed into k-major column panels for the [`MR`]×[`NR`] kernel.
@@ -219,7 +255,7 @@ fn matmul_rows_packed(av: &[f32], pb: &PackedB, ov: &mut [f32], ap: &mut Vec<f32
 
 /// `C = A · B` for `A: [m, k]`, `B: [k, n]`.
 ///
-/// A register-blocked microkernel, packed-panel above `PACK_MIN_FLOPS`.
+/// The small-product kernel, packed-panel above `PACK_MIN_FLOPS`.
 ///
 /// # Errors
 ///
@@ -259,12 +295,22 @@ pub fn matmul(a: &Tensor, b: &Tensor) -> Result<Tensor> {
             &mut Vec::new(),
         );
     } else {
-        matmul_rows(av, bv, out.as_mut_slice(), k, n);
+        small_gemm::<false>(av, bv, out.as_mut_slice(), n);
     }
     Ok(out)
 }
 
+/// Whether no entry of `v` is infinite or NaN: those are the `|y|` bit
+/// patterns from infinity's up. A max over every entry, not an early
+/// exit, so the scan vectorizes.
+fn all_finite(v: &[f32]) -> bool {
+    v.iter().fold(0, |top, y| top.max(y.abs().to_bits())) < f32::INFINITY.to_bits()
+}
+
 /// `C = Aᵀ · B` for `A: [k, m]`, `B: [k, n]` without materializing `Aᵀ`.
+///
+/// The products of a zero `A` entry are left out, so a zero against an
+/// infinite or NaN `B` entry adds nothing.
 ///
 /// # Errors
 ///
@@ -285,6 +331,13 @@ pub fn matmul_at_b(a: &Tensor, b: &Tensor) -> Result<Tensor> {
         return Ok(out);
     }
     let (av, bv, ov) = (a.as_slice(), b.as_slice(), out.as_mut_slice());
+    // With every `B` entry finite, a zero `A` entry's products are ±0.0,
+    // which leave a sum begun at +0.0 (never −0.0) unchanged: the kernel
+    // equals the zero skip below bit for bit.
+    if m * n * k < PACK_MIN_FLOPS && all_finite(bv) {
+        small_gemm::<true>(av, bv, ov, n);
+        return Ok(out);
+    }
     for p in 0..k {
         let brow = &bv[p * n..(p + 1) * n];
         for (&api, orow) in av[p * m..(p + 1) * m].iter().zip(ov.chunks_exact_mut(n)) {
@@ -298,52 +351,6 @@ pub fn matmul_at_b(a: &Tensor, b: &Tensor) -> Result<Tensor> {
         }
     }
     Ok(out)
-}
-
-/// Accumulates `C = A·Bᵀ` into `ov` (all of `C`). `A: [m, k]`,
-/// `B: [n, k]`.
-fn matmul_a_bt_rows(av: &[f32], bv: &[f32], ov: &mut [f32], k: usize, n: usize) {
-    if n == 0 {
-        return;
-    }
-    let rows = ov.len() / n;
-    for i in 0..rows {
-        let arow = &av[i * k..(i + 1) * k];
-        let orow = &mut ov[i * n..(i + 1) * n];
-        let mut j = 0;
-        // MR dot products per pass over arow: each a[p] load feeds
-        // four B rows. Each dot still accumulates over p in ascending
-        // order into a single accumulator, preserving bit-identity
-        // with the scalar tail below.
-        while j + MR <= n {
-            let b0 = &bv[j * k..(j + 1) * k];
-            let b1 = &bv[(j + 1) * k..(j + 2) * k];
-            let b2 = &bv[(j + 2) * k..(j + 3) * k];
-            let b3 = &bv[(j + 3) * k..(j + 4) * k];
-            let (mut s0, mut s1, mut s2, mut s3) = (0.0f32, 0.0f32, 0.0f32, 0.0f32);
-            for p in 0..k {
-                let ap = arow[p];
-                s0 += ap * b0[p];
-                s1 += ap * b1[p];
-                s2 += ap * b2[p];
-                s3 += ap * b3[p];
-            }
-            orow[j] += s0;
-            orow[j + 1] += s1;
-            orow[j + 2] += s2;
-            orow[j + 3] += s3;
-            j += MR;
-        }
-        while j < n {
-            let brow = &bv[j * k..(j + 1) * k];
-            let mut acc = 0.0f32;
-            for (&x, &y) in arow.iter().zip(brow) {
-                acc += x * y;
-            }
-            orow[j] += acc;
-            j += 1;
-        }
-    }
 }
 
 /// `C = A · Bᵀ` for `A: [m, k]`, `B: [n, k]` without materializing `Bᵀ`.
@@ -375,7 +382,11 @@ pub fn matmul_a_bt(a: &Tensor, b: &Tensor) -> Result<Tensor> {
             &mut Vec::new(),
         );
     } else {
-        matmul_a_bt_rows(av, bv, out.as_mut_slice(), k, n);
+        let mut bt = Vec::with_capacity(k * n);
+        for p in 0..k {
+            bt.extend(bv.chunks_exact(k).map(|brow| brow[p]));
+        }
+        small_gemm::<false>(av, &bt, out.as_mut_slice(), n);
     }
     Ok(out)
 }
@@ -562,32 +573,24 @@ mod tests {
         }
     }
 
-    /// The packed path is *bit*-identical to the unpacked register
-    /// kernels on values whose sums are not exactly representable — the
-    /// accumulation order is the contract, not just the math.
+    /// The packed path is *bit*-identical to the small-product kernel
+    /// on values whose sums are not exactly representable, in each of
+    /// the kernel's `A` layouts — the accumulation order is the
+    /// contract, not just the math.
     #[test]
-    fn packed_path_is_bit_identical_to_unpacked() {
+    fn packed_path_is_bit_identical_to_the_small_kernel() {
         let (m, k, n) = (13, 21, 29);
         let a = Tensor::from_fn(&[m, k], |i| (i as f32 * 0.37 + 0.11).sin());
         let b = Tensor::from_fn(&[k, n], |i| (i as f32 * 0.53 - 0.07).cos());
-        let mut unpacked = Tensor::zeros(&[m, n]);
-        matmul_rows(a.as_slice(), b.as_slice(), unpacked.as_mut_slice(), k, n);
+        let bits = |t: &Tensor| t.as_slice().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let mut small = Tensor::zeros(&[m, n]);
+        small_gemm::<false>(a.as_slice(), b.as_slice(), small.as_mut_slice(), n);
         let mut packed = Tensor::zeros(&[m, n]);
         let pb = PackedB::from_b(b.as_slice(), k, n);
         matmul_rows_packed(a.as_slice(), &pb, packed.as_mut_slice(), &mut Vec::new());
-        for (x, y) in packed.as_slice().iter().zip(unpacked.as_slice()) {
-            assert_eq!(x.to_bits(), y.to_bits());
-        }
-        // The a_bt flavor against its unpacked kernel, same contract.
+        assert_eq!(bits(&packed), bits(&small));
+        // The a_bt packing of the same product.
         let bt = transpose2d(&b).unwrap();
-        let mut unpacked_bt = Tensor::zeros(&[m, n]);
-        matmul_a_bt_rows(
-            a.as_slice(),
-            bt.as_slice(),
-            unpacked_bt.as_mut_slice(),
-            k,
-            n,
-        );
         let mut packed_bt = Tensor::zeros(&[m, n]);
         let pbt = PackedB::from_bt(bt.as_slice(), k, n);
         matmul_rows_packed(
@@ -596,9 +599,12 @@ mod tests {
             packed_bt.as_mut_slice(),
             &mut Vec::new(),
         );
-        for (x, y) in packed_bt.as_slice().iter().zip(unpacked_bt.as_slice()) {
-            assert_eq!(x.to_bits(), y.to_bits());
-        }
+        assert_eq!(bits(&packed_bt), bits(&small));
+        // The kernel reading `A` as its stored transpose.
+        let at = transpose2d(&a).unwrap();
+        let mut small_at = Tensor::zeros(&[m, n]);
+        small_gemm::<true>(at.as_slice(), b.as_slice(), small_at.as_mut_slice(), n);
+        assert_eq!(bits(&small_at), bits(&small));
     }
 
     /// Shapes above `PACK_MIN_FLOPS` take the packed path through the
