@@ -23,7 +23,12 @@
 //! Each packed-integer row also reports the minor page faults one
 //! forward takes once warmed up (`/proc/self/stat` field 10, counted
 //! over `FAULT_FORWARDS` forwards): a forward that allocates its
-//! activations afresh faults their memory back in on every call.
+//! activations afresh faults their memory back in on every call. Each
+//! row's count comes from a fresh child process of this binary, run as
+//! `bench_perf --faults-of <workload> [--smoke]`, which builds only that
+//! row's net: whether freed memory goes back to the operating system
+//! depends on the heap's history, so a count taken after other rows
+//! would depend on which rows ran first.
 //!
 //! Only the competition and `evaluate` rows split their work over
 //! threads, so only they are timed at several thread counts; the kernels
@@ -45,7 +50,7 @@
 //! probing runs as many probes as full probing on less than all of the
 //! forward work and is no slower at 1 thread, dequant is bit-exact,
 //! integer execution is within `INT_BOUND`, compression is ≥ 2×, every
-//! unsplit row ran at the default thread count, the `infer`-geometry
+//! unsplit row ran at the default thread count, every packed-integer
 //! forward takes less than one minor fault per call, every product shape
 //! of the demo MLP equals the naive triple loop bit for bit and the demo
 //! artifact round-trips — the CI gate.
@@ -67,7 +72,7 @@ use ccq_tensor::par::{num_threads, with_threads};
 use ccq_tensor::{rng, Init, Tensor};
 use std::hint::black_box;
 use std::path::Path;
-use std::process::ExitCode;
+use std::process::{Command, ExitCode};
 
 /// Integer-execution agreement bound (max abs deviation of the final
 /// logits from the fake-quant forward). A single layer only differs by
@@ -84,6 +89,14 @@ const SPLIT_WORKLOADS: [&str; 2] = ["competition_10_rounds", "evaluate_8_batches
 
 /// The workload name of the packed-integer row at `infer`'s geometry.
 const INFER_WORKLOAD: &str = "resnet50_style_infer";
+
+/// The packed ResNets of the per-model rows: model kind, workload name
+/// and architecture family.
+const PACKED_MODELS: [(ModelKind, &str, &str); 3] = [
+    (ModelKind::Resnet20, "resnet20", "resnet20"),
+    (ModelKind::Resnet18, "resnet18", "resnet18"),
+    (ModelKind::Resnet50, "resnet50_style", "resnet50"),
+];
 
 /// Repetitions of the plain-CNN rows under `--smoke`: the gate compares
 /// the two competition variants' fastest times, and a single rep let a
@@ -350,7 +363,7 @@ fn bench_model(
     (kind, model_name, family): (ModelKind, &'static str, &str),
 ) -> ModelFacts {
     let (mut net, model) = packed_resnet(kind, family, &small_config(), true);
-    let x = Init::Uniform { lo: -1.0, hi: 1.0 }.sample(&[batch, 3, 16, 16], &mut rng(100));
+    let x = packed_input(batch);
     let mut deployed = model.instantiate().expect("instantiate");
     let fake = net.forward(&x, Mode::Eval).expect("fake-quant forward");
     let dequant = deployed.forward_packed(&x, PackedExec::Dequant);
@@ -385,38 +398,86 @@ fn bench_model(
         };
         black_box(y.expect("forward"));
     });
-    let faults = faults_per_forward(|| {
-        black_box(deployed.forward_packed(black_box(&x), PackedExec::Integer)).expect("forward");
-    });
-    set_faults(rows, model_name, faults);
     facts
 }
 
-/// Times the packed-integer forward at `infer`'s geometry and counts its
-/// minor faults per forward. As in `infer`, the net is deployed from
-/// its CCQPACK bytes: whether freed activations are trimmed from the
-/// heap and faulted back in depends on what was allocated before them,
-/// and a net packed in place reads no faults even when its forward
-/// frees every activation.
-fn bench_infer_geometry(rows: &mut Vec<Row>, reps: usize) {
+/// `model` deployed from its CCQPACK bytes, as `infer` deploys it.
+fn deploy_from_bytes(model: &PackedModel) -> Network {
+    let model = PackedModel::from_bytes(&model.to_bytes()).expect("artifact decodes");
+    model.instantiate().expect("instantiate")
+}
+
+/// The deployed net of the `infer`-geometry row: ResNet50-style at
+/// width 4, ten classes, no pruned layer.
+fn infer_geometry_net() -> Network {
     let cfg = ModelConfig {
         classes: 10,
         width: 4,
         ..small_config()
     };
     let (_, model) = packed_resnet(ModelKind::Resnet50, "resnet50", &cfg, false);
-    let model = PackedModel::from_bytes(&model.to_bytes()).expect("artifact decodes");
-    let mut deployed = model.instantiate().expect("instantiate");
-    let x = Init::Uniform { lo: -1.0, hi: 1.0 }.sample(&[8, 3, 16, 16], &mut rng(100));
-    let mut forward = || {
-        black_box(deployed.forward_packed(black_box(&x), PackedExec::Integer)).expect("forward");
-    };
+    deploy_from_bytes(&model)
+}
+
+/// The input of a packed row: `batch` 16×16 RGB images.
+fn packed_input(batch: usize) -> Tensor {
+    Init::Uniform { lo: -1.0, hi: 1.0 }.sample(&[batch, 3, 16, 16], &mut rng(100))
+}
+
+/// Times the packed-integer forward at `infer`'s geometry, batch 8.
+fn bench_infer_geometry(rows: &mut Vec<Row>, reps: usize) {
+    let mut deployed = infer_geometry_net();
+    let x = packed_input(8);
     let variants = [(INFER_WORKLOAD, "packed_integer")];
     time_rows(rows, reps, rows_for(&variants, &[num_threads()]), |_| {
-        forward()
+        black_box(deployed.forward_packed(black_box(&x), PackedExec::Integer)).expect("forward");
     });
-    let faults = faults_per_forward(forward);
-    set_faults(rows, INFER_WORKLOAD, faults);
+}
+
+/// The child side of the fault count: minor faults per packed-integer
+/// forward of `workload`'s net, alone in this process (see the module
+/// docs). Its input batch is `batch`, the `infer`-geometry row's 8.
+/// Every net is deployed from its CCQPACK bytes: in-place packing
+/// leaves a heap whose history hides the faults of a forward that
+/// frees its activations.
+fn faults_of(workload: &str, batch: usize) -> Result<f64, String> {
+    let (mut net, x) = if workload == INFER_WORKLOAD {
+        (infer_geometry_net(), packed_input(8))
+    } else {
+        let &(kind, _, family) = (PACKED_MODELS.iter())
+            .find(|m| m.1 == workload)
+            .ok_or_else(|| format!("{workload}: no packed-integer row"))?;
+        let (_, model) = packed_resnet(kind, family, &small_config(), true);
+        (deploy_from_bytes(&model), packed_input(batch))
+    };
+    Ok(faults_per_forward(|| {
+        black_box(net.forward_packed(black_box(&x), PackedExec::Integer)).expect("forward");
+    }))
+}
+
+/// Sets every packed-integer row's minor faults per forward, each
+/// counted in a fresh child process of this binary; NaN when the child
+/// fails or prints no number.
+fn count_faults_in_children(rows: &mut [Row], smoke: bool) {
+    let exe = std::env::current_exe().expect("path of this binary");
+    let workloads: Vec<&str> = (rows.iter())
+        .filter(|r| r.variant == "packed_integer")
+        .map(|r| r.workload)
+        .collect();
+    for workload in workloads {
+        let mut child = Command::new(&exe);
+        child.args(["--faults-of", workload]);
+        if smoke {
+            child.arg("--smoke");
+        }
+        let faults = match child.output() {
+            Ok(out) if out.status.success() => (String::from_utf8_lossy(&out.stdout).trim())
+                .parse()
+                .unwrap_or(f64::NAN),
+            _ => f64::NAN,
+        };
+        set_faults(rows, workload, faults);
+    }
 }
 
 /// Writes the ResNet20 demo artifact next to `out_path` and checks that
@@ -483,15 +544,19 @@ fn smoke_check(
             "incremental probing slower than full forwards ({speedup:.3}x)"
         ));
     }
-    let faults = (rows.iter())
-        .find(|r| r.workload == INFER_WORKLOAD)
-        .and_then(|r| r.faults)
-        .unwrap_or(f64::NAN);
-    if faults.is_nan() || faults >= 1.0 {
-        return Err(format!(
-            "{INFER_WORKLOAD}: {faults} minor faults per packed-integer forward after warm-up \
-             (must stay below 1)"
-        ));
+    let packed = rows.iter().filter(|r| r.variant == "packed_integer");
+    if packed.clone().count() != PACKED_MODELS.len() + 1 {
+        return Err("a packed-integer row is missing".into());
+    }
+    for r in packed {
+        let faults = r.faults.unwrap_or(f64::NAN);
+        if faults.is_nan() || faults >= 1.0 {
+            return Err(format!(
+                "{}: {faults} minor faults per packed-integer forward after warm-up \
+                 (must stay below 1)",
+                r.workload
+            ));
+        }
     }
     for m in models {
         if !m.dequant_bit_exact {
@@ -522,9 +587,12 @@ fn smoke_check(
 fn main() -> ExitCode {
     let mut out_path = "BENCH_perf.json".to_string();
     let mut smoke = false;
-    for arg in std::env::args().skip(1) {
+    let mut faults_child = None;
+    let mut args = std::env::args().skip(1);
+    while let Some(arg) = args.next() {
         match arg.as_str() {
             "--smoke" => smoke = true,
+            "--faults-of" => faults_child = args.next(),
             other => out_path = other.to_string(),
         }
     }
@@ -534,6 +602,18 @@ fn main() -> ExitCode {
         reps_from_env(std::env::var("CCQ_BENCH_REPS").ok().as_deref(), 20)
     };
     let batch = if smoke { 2 } else { 8 };
+    if let Some(workload) = faults_child {
+        return match faults_of(&workload, batch) {
+            Ok(faults) => {
+                println!("{faults}");
+                ExitCode::SUCCESS
+            }
+            Err(why) => {
+                eprintln!("{why}");
+                ExitCode::FAILURE
+            }
+        };
+    }
     let cpus = std::thread::available_parallelism().map_or(1, usize::from);
     let default_threads = num_threads();
     let mut threads = if smoke {
@@ -544,10 +624,6 @@ fn main() -> ExitCode {
     threads.dedup();
     let mut rows = Vec::new();
 
-    // First, while glibc's dynamic mmap and trim thresholds are still at
-    // their defaults: the 512³ matmul below frees 1 MiB buffers, which
-    // raises both for the rest of the process and hides the faults of a
-    // forward that frees its activations.
     eprintln!("timing {INFER_WORKLOAD} (width 4, batch 8)");
     bench_infer_geometry(&mut rows, reps);
 
@@ -613,14 +689,12 @@ fn main() -> ExitCode {
     bench_demo_mlp(&mut rows, reps);
 
     let mut models = Vec::new();
-    for workload in [
-        (ModelKind::Resnet20, "resnet20", "resnet20"),
-        (ModelKind::Resnet18, "resnet18", "resnet18"),
-        (ModelKind::Resnet50, "resnet50_style", "resnet50"),
-    ] {
+    for workload in PACKED_MODELS {
         eprintln!("packing + timing {} (batch {batch})", workload.1);
         models.push(bench_model(&mut rows, reps, batch, workload));
     }
+    eprintln!("counting minor faults per packed-integer forward, one child process per row");
+    count_faults_in_children(&mut rows, smoke);
 
     let mut json = format!(
         "{{\n  \"host\": {{ \"cpus\": {cpus}, \"default_threads\": {default_threads}, \"reps\": {reps}, \"batch\": {batch} }},\n"
@@ -631,8 +705,8 @@ fn main() -> ExitCode {
          mixed int8/int4/int2 ladder with one pruned layer and an f32 head; dequant must equal \
          the fake-quant Eval forward bit for bit and integer execution stay within {INT_BOUND} \
          max abs deviation. Packed-integer rows count minor page faults per forward after two \
-         warm-up forwards; {INFER_WORKLOAD} is perfbench infer's geometry (width 4, 10 classes, \
-         batch 8, no pruned layer) and must stay below one.\",\n  \"timings\": [\n"
+         warm-up forwards, each in a fresh process, and must stay below one; {INFER_WORKLOAD} is \
+         perfbench infer's geometry (width 4, 10 classes, batch 8, no pruned layer).\",\n  \"timings\": [\n"
     ));
     for (i, r) in rows.iter().enumerate() {
         let overhead = if r.threads > cpus {

@@ -132,19 +132,21 @@ pub trait Layer: LayerClone + Send + Sync {
         self.visit_params(&mut |p| f(StateTag::Other, &mut p.value));
     }
 
-    /// Runs the layer on `x` using its packed integer weights when a
-    /// [`crate::Network::pack_weights`] call installed them. Layers
-    /// without packed state (no weights, unsupported policy, or not yet
-    /// packed) fall back to an `Eval`-mode fake-quant forward, which
-    /// keeps whole-network agreement intact.
+    /// Runs the layer inside a packed forward, using its packed integer
+    /// weights when a [`crate::Network::pack_weights`] call installed
+    /// them. Layers without packed state (no weights, unsupported
+    /// policy, or not yet packed) compute what an `Eval`-mode fake-quant
+    /// forward does, which keeps whole-network agreement intact.
+    ///
+    /// Rank-4 tensors are `[c, h, w, n]` here, batch innermost, not NCHW:
+    /// [`crate::Network::forward_packed`] converts its input on entry and
+    /// its output on exit (see DESIGN §17). Every layer states its own
+    /// packed forward, so none can read this layout as NCHW by default.
     ///
     /// # Errors
     ///
     /// Returns [`crate::NnError`] on incompatible input shapes.
-    fn forward_packed(&mut self, x: &Tensor, exec: PackedExec) -> Result<Tensor> {
-        let _ = exec;
-        self.forward(x, Mode::Eval)
-    }
+    fn forward_packed(&mut self, x: &Tensor, exec: PackedExec) -> Result<Tensor>;
 
     /// [`Layer::forward_packed`] on an input the caller no longer needs.
     /// Layers whose packed forward is elementwise (batch-norm, ReLU)

@@ -50,11 +50,15 @@ impl BatchNorm2d {
         }
     }
 
-    fn check(&self, x: &Tensor) -> Result<()> {
+    /// Checks that `x` is rank 4 with this layer's channel count on
+    /// `axis`: 1 for NCHW, 0 for the packed forward's `[c, h, w, n]`.
+    fn check(&self, x: &Tensor, axis: usize) -> Result<()> {
         x.shape_obj().expect_rank(4).map_err(NnError::from)?;
-        if x.shape()[1] != self.channels {
+        if x.shape()[axis] != self.channels {
+            let mut expected = x.shape().to_vec();
+            expected[axis] = self.channels;
             return Err(NnError::Tensor(TensorError::ShapeMismatch {
-                expected: vec![x.shape()[0], self.channels, x.shape()[2], x.shape()[3]],
+                expected,
                 actual: x.shape().to_vec(),
             }));
         }
@@ -79,29 +83,38 @@ impl BatchNorm2d {
         out
     }
 
-    /// The `Eval`-mode forward on `x` in place, optionally followed by a
-    /// ReLU: every element becomes `(v − mean)·inv_std·γ + β` from the
-    /// running statistics, then `.max(0.0)` when `relu` is set. The
-    /// per-channel constants and the order of operations are those of
-    /// the batch-norm and ReLU layers run one after the other, so the
-    /// result is the same bit for bit.
+    /// The `Eval`-mode forward of the packed forward's `[c, h, w, n]`
+    /// tensor `x` in place, optionally followed by a ReLU: every element
+    /// of a channel, one contiguous span, becomes
+    /// `(v − mean)·inv_std·γ + β` from the running statistics, then
+    /// `.max(0.0)` when `relu` is set. The per-channel constants and the
+    /// order of operations are those of the batch-norm and ReLU layers
+    /// run one after the other on NCHW, so the result is the same bit
+    /// for bit.
     ///
     /// # Errors
     ///
-    /// Returns [`NnError::Tensor`] when `x` is not NCHW with this
-    /// layer's channel count.
-    pub(crate) fn eval_in_place(&mut self, x: &mut Tensor, relu: bool) -> Result<()> {
-        self.check(x)?;
+    /// Returns [`NnError::Tensor`] when `x` is not `[c, h, w, n]` with
+    /// this layer's channel count.
+    pub(crate) fn packed_in_place(&mut self, x: &mut Tensor, relu: bool) -> Result<()> {
+        self.check(x, 0)?;
         self.cache = None;
-        let [c, h, w] = [x.shape()[1], x.shape()[2], x.shape()[3]];
-        let plane = h * w;
+        let span = x.len() / self.channels.max(1);
+        self.eval_spans(x.as_mut_slice(), span, relu);
+        Ok(())
+    }
+
+    /// The `Eval`-mode affine map (and ReLU when `relu`) on `v`, whose
+    /// consecutive `span`-element runs belong to channels `0, 1, …, c −
+    /// 1, 0, 1, …` in turn.
+    fn eval_spans(&self, v: &mut [f32], span: usize, relu: bool) {
+        if span == 0 {
+            return;
+        }
         let (gv, bv) = (self.gamma.value.as_slice(), self.beta.value.as_slice());
         let (mv, vv) = (self.running_mean.as_slice(), self.running_var.as_slice());
-        if plane == 0 {
-            return Ok(());
-        }
-        for (i, chunk) in x.as_mut_slice().chunks_exact_mut(plane).enumerate() {
-            let ci = i % c;
+        for (i, chunk) in v.chunks_exact_mut(span).enumerate() {
+            let ci = i % self.channels;
             let (m, g, b) = (mv[ci], gv[ci], bv[ci]);
             let is = 1.0 / (vv[ci] + self.eps).sqrt();
             if relu {
@@ -114,13 +127,12 @@ impl BatchNorm2d {
                 }
             }
         }
-        Ok(())
     }
 }
 
 impl Layer for BatchNorm2d {
     fn forward(&mut self, x: &Tensor, mode: Mode) -> Result<Tensor> {
-        self.check(x)?;
+        self.check(x, 1)?;
         match mode {
             Mode::Train => {
                 let stats = channel_stats(x)?;
@@ -162,15 +174,21 @@ impl Layer for BatchNorm2d {
                 Ok(out)
             }
             Mode::Eval => {
+                self.cache = None;
                 let mut out = x.clone();
-                self.eval_in_place(&mut out, false)?;
+                let plane = x.shape()[2] * x.shape()[3];
+                self.eval_spans(out.as_mut_slice(), plane, false);
                 Ok(out)
             }
         }
     }
 
+    fn forward_packed(&mut self, x: &Tensor, exec: PackedExec) -> Result<Tensor> {
+        self.forward_packed_owned(x.clone(), exec)
+    }
+
     fn forward_packed_owned(&mut self, mut x: Tensor, _exec: PackedExec) -> Result<Tensor> {
-        self.eval_in_place(&mut x, false)?;
+        self.packed_in_place(&mut x, false)?;
         Ok(x)
     }
 

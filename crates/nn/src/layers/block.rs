@@ -139,9 +139,9 @@ impl Layer for BasicBlock {
     /// buffers go back to the thread's free list once consumed.
     fn forward_packed(&mut self, x: &Tensor, exec: PackedExec) -> Result<Tensor> {
         let mut a = self.conv1.forward_packed(x, exec)?;
-        self.bn1.eval_in_place(&mut a, true)?;
+        self.bn1.packed_in_place(&mut a, true)?;
         let mut b = self.conv2.forward_packed_owned(a, exec)?;
-        self.bn2.eval_in_place(&mut b, false)?;
+        self.bn2.packed_in_place(&mut b, false)?;
         add_shortcut(&mut b, x, &mut self.shortcut, exec)?;
         self.relu_out.forward_packed_owned(b, exec)
     }
@@ -296,11 +296,11 @@ impl Layer for Bottleneck {
     /// In place after each convolution, as in [`BasicBlock`].
     fn forward_packed(&mut self, x: &Tensor, exec: PackedExec) -> Result<Tensor> {
         let mut a = self.conv1.forward_packed(x, exec)?;
-        self.bn1.eval_in_place(&mut a, true)?;
+        self.bn1.packed_in_place(&mut a, true)?;
         let mut b = self.conv2.forward_packed_owned(a, exec)?;
-        self.bn2.eval_in_place(&mut b, true)?;
+        self.bn2.packed_in_place(&mut b, true)?;
         let mut c = self.conv3.forward_packed_owned(b, exec)?;
-        self.bn3.eval_in_place(&mut c, false)?;
+        self.bn3.packed_in_place(&mut c, false)?;
         add_shortcut(&mut c, x, &mut self.shortcut, exec)?;
         self.relu_out.forward_packed_owned(c, exec)
     }
@@ -321,7 +321,7 @@ fn add_shortcut(
     match shortcut {
         Some((conv, bn)) => {
             let mut s = conv.forward_packed(x, exec)?;
-            bn.eval_in_place(&mut s, false)?;
+            bn.packed_in_place(&mut s, false)?;
             sum.add_assign(&s)?;
             crate::scratch::recycle(s);
         }

@@ -1,12 +1,13 @@
 //! Quantization-aware 2-D convolution.
 
 use crate::layer::{Layer, Mode, PackedExec, QuantHandle, StateTag};
+use crate::layout::{dims4, to_chwn, to_nchw};
 use crate::scratch::with_scratch;
 use crate::{NnError, Param, Result};
 use ccq_quant::{LayerQuant, PackedWeights, QuantSpec};
 use ccq_tensor::ops::{
-    col2im, im2col, int_accumulator_safe, int_conv2d, matmul, matmul_a_bt, matmul_at_b, CodeBounds,
-    Conv2dGeometry,
+    col2im, im2col, im2col_chwn, int_accumulator_safe, int_conv2d, matmul, matmul_a_bt,
+    matmul_at_b, CodeBounds, Conv2dGeometry,
 };
 use ccq_tensor::{Init, Rng64, Tensor, TensorError};
 
@@ -17,7 +18,8 @@ use ccq_tensor::{Init, Rng64, Tensor, TensorError};
 /// the quantized network while SGD updates the shadow copy — standard
 /// quantization-aware training with a straight-through estimator.
 ///
-/// Weight layout is `[out_ch, in_ch, kh, kw]`; activations are NCHW.
+/// Weight layout is `[out_ch, in_ch, kh, kw]`; activations are NCHW,
+/// and batch-innermost `[c, h, w, n]` in the packed forward.
 #[derive(Debug, Clone)]
 pub struct QConv2d {
     label: String,
@@ -260,28 +262,24 @@ impl Layer for QConv2d {
     }
 
     fn forward_packed(&mut self, x: &Tensor, exec: PackedExec) -> Result<Tensor> {
-        let packed = match &self.packed {
-            Some(p) => p,
-            None => return self.forward(x, Mode::Eval),
-        };
-        x.shape_obj().expect_rank(4).map_err(NnError::from)?;
-        if x.shape()[1] != self.in_ch {
+        let [c, h, w, n] = dims4(x)?;
+        if c != self.in_ch {
             return Err(NnError::Tensor(TensorError::ShapeMismatch {
-                expected: vec![x.shape()[0], self.in_ch, x.shape()[2], x.shape()[3]],
+                expected: vec![self.in_ch, h, w, n],
                 actual: x.shape().to_vec(),
             }));
         }
-        let (n, h, w) = (x.shape()[0], x.shape()[2], x.shape()[3]);
         let (oh, ow) = self.geom.output_hw(h, w)?;
         let ckk = self.in_ch * self.geom.kernel_h * self.geom.kernel_w;
         self.macs = (ckk * oh * ow * self.out_ch) as u64;
+        let bias = self.bias.as_ref().map(|p| p.value.as_slice());
         // Integer execution needs an activation grid and accumulator
         // headroom; pruned weights and f32-gridded inputs take the
         // (bit-exact) dequantized path instead. The codes, the patch
         // matrix and the output buffer all come from the thread's
         // scratch (see `crate::scratch`).
-        if exec == PackedExec::Integer && packed.bits() > 0 {
-            let bias = self.bias.as_ref().map(|p| p.value.as_slice());
+        let packed = self.packed.as_ref();
+        if let Some(packed) = packed.filter(|p| exec == PackedExec::Integer && p.bits() > 0) {
             let y = with_scratch(|s| {
                 let Some(grid) = self.quant.act_codes_into(x, &mut s.codes) else {
                     return Ok(None);
@@ -293,10 +291,10 @@ impl Layer for QConv2d {
                 if !int_accumulator_safe(ckk, bounds.act, bounds.weight) {
                     return Ok(None);
                 }
-                let out = s.take_buffer(n * self.out_ch * oh * ow);
+                let out = s.take_buffer(self.out_ch * oh * ow * n);
                 int_conv2d(
                     &s.codes,
-                    [n, self.in_ch, h, w],
+                    [c, h, w, n],
                     self.geom,
                     packed.conv_taps()?,
                     bounds,
@@ -311,10 +309,38 @@ impl Layer for QConv2d {
                 return Ok(y);
             }
         }
-        let xq = self.quant.quantize_acts(x);
-        let cols = im2col(&xq, self.geom)?;
-        let wq = packed.dequantize().reshape(&[self.out_ch, ckk])?;
-        Ok(self.mat_to_nchw(&matmul(&wq, &cols)?, n, oh, ow))
+        // The f32 product of the fake-quant forward, on the dequantized
+        // packed weights or, for a layer that was not packed, on its
+        // fake-quant weights. Its columns are in another order, which
+        // no output element's sum depends on.
+        let wq = match packed {
+            Some(p) => p.dequantize(),
+            None => self.quant.quantize_weights(&self.weight.value),
+        };
+        let wq = wq.reshape(&[self.out_ch, ckk])?;
+        let mut xq = if self.quant.acts_depend_on_order() {
+            // The grid is a statistic of the elements in NCHW order.
+            to_chwn(&self.quant.quantize_acts(&to_nchw(x)?), Vec::new())?
+        } else {
+            self.quant.quantize_acts(x)
+        };
+        let mut y = if self.geom.is_pointwise() {
+            xq.reshape_in_place(&[c, h * w * n])?;
+            matmul(&wq, &xq)?
+        } else {
+            matmul(&wq, &im2col_chwn(&xq, self.geom)?)?
+        };
+        let len = oh * ow * n;
+        if len > 0 {
+            for (oi, row) in y.as_mut_slice().chunks_exact_mut(len).enumerate() {
+                let b = bias.map_or(0.0, |b| b[oi]);
+                for v in row {
+                    *v += b;
+                }
+            }
+        }
+        y.reshape_in_place(&[self.out_ch, oh, ow, n])?;
+        Ok(y)
     }
 
     fn name(&self) -> &str {

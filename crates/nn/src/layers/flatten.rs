@@ -1,6 +1,7 @@
 //! Flattening layer.
 
-use crate::layer::{Layer, Mode};
+use crate::layer::{Layer, Mode, PackedExec};
+use crate::layout::to_nchw;
 use crate::{NnError, Param, Result};
 use ccq_tensor::Tensor;
 
@@ -37,6 +38,19 @@ impl Layer for Flatten {
     }
 
     fn visit_params(&mut self, _f: &mut dyn FnMut(&mut Param)) {}
+
+    /// A rank-4 input is `[c, h, w, n]` here; the output is `[n, c·h·w]`
+    /// in NCHW flatten order, as [`Layer::forward`] gives.
+    fn forward_packed(&mut self, x: &Tensor, _exec: PackedExec) -> Result<Tensor> {
+        if x.rank() != 4 {
+            return self.forward(x, Mode::Eval);
+        }
+        self.in_shape = None;
+        let mut y = to_nchw(x)?;
+        let n = y.shape()[0];
+        y.reshape_in_place(&[n, y.len() / n.max(1)])?;
+        Ok(y)
+    }
 
     fn name(&self) -> &str {
         "flatten"

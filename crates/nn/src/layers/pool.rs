@@ -1,6 +1,8 @@
 //! Pooling layers.
 
-use crate::layer::{Layer, Mode};
+use crate::layer::{Layer, Mode, PackedExec};
+use crate::layout::dims4;
+use crate::scratch::with_scratch;
 use crate::{NnError, Param, Result};
 use ccq_tensor::ops::conv_output_size;
 use ccq_tensor::Tensor;
@@ -89,6 +91,42 @@ impl Layer for MaxPool2d {
 
     fn visit_params(&mut self, _f: &mut dyn FnMut(&mut Param)) {}
 
+    /// `[c, h, w, n]` → `[c, oh, ow, n]`, the `n` samples of one window
+    /// side by side. Each keeps the first of its largest values in the
+    /// window order of [`Layer::forward`], so a `±0.0` tie resolves
+    /// the same way. The output buffer comes from the thread's free list.
+    fn forward_packed(&mut self, x: &Tensor, _exec: PackedExec) -> Result<Tensor> {
+        let [c, h, w, n] = dims4(x)?;
+        let (k, s) = (self.kernel, self.stride);
+        let oh = conv_output_size(h, k, s, 0)?;
+        let ow = conv_output_size(w, k, s, 0)?;
+        self.cache = None;
+        let mut out = with_scratch(|scratch| scratch.take_buffer(c * oh * ow * n));
+        out.clear();
+        out.reserve(c * oh * ow * n);
+        for ci in 0..c {
+            let plane = &x.as_slice()[ci * h * w * n..(ci + 1) * h * w * n];
+            for y in 0..oh {
+                for xw in 0..ow {
+                    let start = out.len();
+                    out.resize(start + n, f32::NEG_INFINITY);
+                    let best = &mut out[start..];
+                    for ky in 0..k {
+                        for kx in 0..k {
+                            let at = ((y * s + ky) * w + xw * s + kx) * n;
+                            for (b, &v) in best.iter_mut().zip(&plane[at..at + n]) {
+                                if v > *b {
+                                    *b = v;
+                                }
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        Ok(Tensor::from_vec(out, &[c, oh, ow, n])?)
+    }
+
     fn name(&self) -> &str {
         "maxpool"
     }
@@ -148,6 +186,25 @@ impl Layer for GlobalAvgPool {
     }
 
     fn visit_params(&mut self, _f: &mut dyn FnMut(&mut Param)) {}
+
+    /// `[c, h, w, n]` → `[n, c]`: each `(n, c)` sums its `h·w` values in
+    /// the order, and from the start value, of [`Layer::forward`]'s sum.
+    fn forward_packed(&mut self, x: &Tensor, _exec: PackedExec) -> Result<Tensor> {
+        let [c, h, w, n] = dims4(x)?;
+        self.in_shape = None;
+        let xv = x.as_slice();
+        let plane = h * w;
+        let mut out = Vec::with_capacity(n * c);
+        for ni in 0..n {
+            for ci in 0..c {
+                let sum = (0..plane)
+                    .map(|p| &xv[(ci * plane + p) * n + ni])
+                    .sum::<f32>();
+                out.push(sum / plane as f32);
+            }
+        }
+        Ok(Tensor::from_vec(out, &[n, c])?)
+    }
 
     fn name(&self) -> &str {
         "global_avg_pool"

@@ -27,6 +27,11 @@ impl Layer for Relu {
         Ok(x.map(|v| v.max(0.0)))
     }
 
+    /// Elementwise, so the same in every layout.
+    fn forward_packed(&mut self, x: &Tensor, _exec: PackedExec) -> Result<Tensor> {
+        self.forward(x, Mode::Eval)
+    }
+
     fn forward_packed_owned(&mut self, mut x: Tensor, _exec: PackedExec) -> Result<Tensor> {
         self.mask = None;
         x.map_in_place(|v| v.max(0.0));

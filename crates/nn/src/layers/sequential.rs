@@ -156,6 +156,16 @@ impl Layer for Sequential {
         Ok(cur)
     }
 
+    /// Hands `x` to the first layer too, which frees its buffer as soon
+    /// as that layer has run.
+    fn forward_packed_owned(&mut self, x: Tensor, exec: PackedExec) -> Result<Tensor> {
+        let mut cur = x;
+        for layer in &mut self.layers {
+            cur = layer.forward_packed_owned(cur, exec)?;
+        }
+        Ok(cur)
+    }
+
     fn name(&self) -> &str {
         &self.name
     }

@@ -46,6 +46,7 @@ pub mod checkpoint;
 mod error;
 mod layer;
 pub mod layers;
+mod layout;
 pub mod loss;
 mod network;
 mod optim;

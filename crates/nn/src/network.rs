@@ -2,7 +2,8 @@
 
 use crate::layer::{Layer, Mode, PackedExec, QuantHandle, StateTag};
 use crate::layers::Sequential;
-use crate::{NnError, Param, Result};
+use crate::layout::{to_chwn, to_nchw};
+use crate::{scratch, NnError, Param, Result};
 use ccq_quant::QuantSpec;
 use ccq_tensor::Tensor;
 
@@ -341,6 +342,12 @@ impl Network {
     /// Runs a packed forward pass (inference only; does not bump the
     /// generation, like an `Eval`-mode [`Network::forward`]).
     ///
+    /// A rank-4 input is NCHW, as for [`Network::forward`]; the layers
+    /// see it batch-innermost, `[c, h, w, n]`, converted once into a
+    /// buffer from the thread's packed-forward free list, and a rank-4
+    /// output is converted back to NCHW once at the end (see
+    /// [`Layer::forward_packed`]).
+    ///
     /// # Errors
     ///
     /// Returns [`NnError::InvalidConfig`] when [`Network::pack_weights`]
@@ -376,7 +383,17 @@ impl Network {
                 net_generation: self.generation,
             });
         }
-        self.root.forward_packed(x, exec)
+        if x.rank() != 4 {
+            return self.root.forward_packed(x, exec);
+        }
+        let buf = scratch::with_scratch(|s| s.take_buffer(x.len()));
+        let y = self.root.forward_packed_owned(to_chwn(x, buf)?, exec)?;
+        if y.rank() != 4 {
+            return Ok(y);
+        }
+        let out = to_nchw(&y)?;
+        scratch::recycle(y);
+        Ok(out)
     }
 }
 

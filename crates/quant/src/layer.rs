@@ -321,6 +321,23 @@ impl LayerQuant {
         }
     }
 
+    /// Whether [`LayerQuant::quantize_acts`] may give other bits for the
+    /// same values in another order: its grid then comes from a
+    /// statistic of the whole tensor that is not a plain maximum. ACIQ's
+    /// clip and LSQ's initial step are `f32` sums, whose rounding depends
+    /// on the order of their terms; the affine grid's minimum and
+    /// maximum may keep either zero of a `±0.0` pair. Every other grid
+    /// is fixed, or scaled by `max |x|`, which no order changes.
+    pub fn acts_depend_on_order(&self) -> bool {
+        let bits = self.spec.act_bits;
+        match self.spec.policy {
+            _ if bits.is_pruned() || bits.is_full_precision() => false,
+            PolicyKind::Aciq | PolicyKind::UniformAffine => true,
+            PolicyKind::Lsq => self.act_step <= 0.0,
+            _ => false,
+        }
+    }
+
     /// Fake-quantizes the layer input according to the spec.
     ///
     /// Range constraints that are part of the policy's *architecture* apply

@@ -6,6 +6,15 @@
 //! `[O, C·kh·kw]`, and the product gives every output position for every
 //! sample in one GEMM. `col2im` is the adjoint (scatter-add), used for the
 //! input gradient.
+//!
+//! The packed forward keeps its activations batch-innermost, `[C, H, W,
+//! N]`, and lowers them with [`im2col_chwn`] (and the integer-code
+//! [`int_im2col`](crate::ops::int_im2col)) into a `[C·kh·kw, OH·OW·N]`
+//! matrix whose product with the weights is the `[O, OH, OW, N]` output
+//! itself. There the `N` samples of one input position are adjacent, so
+//! an in-image output row is one run of `xs.len()·N` elements at stride
+//! 1 and runs of `N` at larger strides, where the NCHW lowering copies
+//! runs of one to a few elements per sample on small planes.
 
 use std::ops::Range;
 
@@ -45,6 +54,13 @@ impl Conv2dGeometry {
         let oh = conv_output_size(h, self.kernel_h, self.stride, self.padding)?;
         let ow = conv_output_size(w, self.kernel_w, self.stride, self.padding)?;
         Ok((oh, ow))
+    }
+
+    /// Whether the convolution is 1×1, stride 1 and unpadded: its
+    /// batch-innermost patch matrix is the input itself, viewed as
+    /// `[C, H·W·N]`.
+    pub fn is_pointwise(&self) -> bool {
+        (self.kernel_h, self.kernel_w, self.stride, self.padding) == (1, 1, 1, 0)
     }
 }
 
@@ -109,20 +125,17 @@ pub fn im2col(input: &Tensor, geom: Conv2dGeometry) -> Result<Tensor> {
 /// Fills one `[N·OH·OW]` row of the patch matrix: kernel element
 /// `(row % kw, (row / kw) % kh)` of channel `row / (kh·kw)`.
 ///
-/// Every element of `orow` is written, padding positions with
-/// `T::default()` (zero), so the row may arrive holding anything: a
-/// reused buffer needs no clearing. The in-image output rows and
-/// columns are computed once per row. At stride 1 with `ow == w` (a
-/// "same" convolution, and every 1×1 one) output row `y` reads input
-/// row `y + ki − p` at a fixed column offset, so a sample's in-image
-/// rows are one contiguous run of its input plane: one copy, then the
-/// few padding columns inside the run are zeroed. Otherwise each
-/// in-image output row is one strided gather plus its padding columns.
-/// Shared by the f32 [`im2col`] and the integer-code
-/// [`int_im2col`](crate::ops::int_im2col).
-pub(crate) fn im2col_row<T: Copy + Default>(
-    iv: &[T],
-    orow: &mut [T],
+/// Every element of `orow` is written, padding positions with zero.
+/// The in-image output rows and columns are computed once per row. At
+/// stride 1 with `ow == w` (a "same" convolution, and every 1×1 one)
+/// output row `y` reads input row `y + ki − p` at a fixed column offset,
+/// so a sample's in-image rows are one contiguous run of its input
+/// plane: one copy, then the few padding columns inside the run are
+/// zeroed. Otherwise each in-image output row is one strided gather plus
+/// its padding columns.
+fn im2col_row(
+    iv: &[f32],
+    orow: &mut [f32],
     row: usize,
     geom: Conv2dGeometry,
     (n, c, h, w): (usize, usize, usize, usize),
@@ -138,7 +151,7 @@ pub(crate) fn im2col_row<T: Copy + Default>(
     if xs.is_empty() || ys.is_empty() {
         // Every position reads padding, and `x0` or `y0` below may lie
         // past the input.
-        orow.fill(T::default());
+        orow.fill(0.0);
         return;
     }
     // First input row and column read; `ys.start·s + ki ≥ p` and
@@ -148,30 +161,153 @@ pub(crate) fn im2col_row<T: Copy + Default>(
     for (ni, sample) in orow.chunks_exact_mut(oh * ow).enumerate() {
         let plane = &iv[(ni * c + ci) * h * w..(ni * c + ci + 1) * h * w];
         if s == 1 && ow == w {
-            sample[..first].fill(T::default());
+            sample[..first].fill(0.0);
             sample[first..last].copy_from_slice(&plane[y0 * w + x0..][..last - first]);
-            sample[last..].fill(T::default());
+            sample[last..].fill(0.0);
             // Zero what the run copied from outside `xs`: the tail of
             // each in-image output row and the head of the next.
             for g in xs.end..ow + xs.start {
                 for y in ys.start..ys.end - 1 {
-                    sample[y * ow + g] = T::default();
+                    sample[y * ow + g] = 0.0;
                 }
             }
         } else {
-            sample[..ys.start * ow].fill(T::default());
-            sample[ys.end * ow..].fill(T::default());
+            sample[..ys.start * ow].fill(0.0);
+            sample[ys.end * ow..].fill(0.0);
             let rows = sample[ys.start * ow..ys.end * ow].chunks_exact_mut(ow);
             for (out_row, y) in rows.zip((y0..).step_by(s)) {
                 let (pad_lo, rest) = out_row.split_at_mut(xs.start);
                 let (dst, pad_hi) = rest.split_at_mut(xs.len());
                 for d in pad_lo.iter_mut().chain(pad_hi) {
-                    *d = T::default();
+                    *d = 0.0;
                 }
                 let src = plane[y * w + x0..(y + 1) * w].iter().step_by(s);
                 for (d, &v) in dst.iter_mut().zip(src) {
                     *d = v;
                 }
+            }
+        }
+    }
+}
+
+/// Unrolls a batch-innermost input `[C, H, W, N]` into the
+/// `[C·kh·kw, OH·OW·N]` patch matrix.
+///
+/// Row `(ci·kh + ki)·kw + kj` is kernel element `(ki, kj)` of channel
+/// `ci`, as in [`im2col`]; column `(y·OW + x)·N + ni` holds it for output
+/// position `(y, x)` of sample `ni`. Padding positions hold zeros.
+///
+/// # Errors
+///
+/// Returns [`TensorError::RankMismatch`] for non-4D input or
+/// [`TensorError::InvalidGeometry`] for an infeasible geometry.
+pub fn im2col_chwn(input: &Tensor, geom: Conv2dGeometry) -> Result<Tensor> {
+    input.shape_obj().expect_rank(4)?;
+    let dims = [
+        input.shape()[0],
+        input.shape()[1],
+        input.shape()[2],
+        input.shape()[3],
+    ];
+    let mut out = Vec::new();
+    let (rows, cols) = lower_chwn_into(input.as_slice(), dims, geom, &mut out)?;
+    Tensor::from_vec(out, &[rows, cols])
+}
+
+/// The batch-innermost patch matrix of `x: [C, H, W, N]` (`dims`) into
+/// a reused buffer, which is resized to it and written in full: whatever
+/// it held before is overwritten. Returns the matrix's rows and
+/// columns. Shared by [`im2col_chwn`] and the integer-code
+/// [`int_im2col`](crate::ops::int_im2col).
+///
+/// # Errors
+///
+/// Returns [`TensorError::LengthMismatch`] when `x` does not hold
+/// `C·H·W·N` entries, or [`TensorError::InvalidGeometry`] for an
+/// infeasible geometry.
+pub(crate) fn lower_chwn_into<T: Copy + Default>(
+    x: &[T],
+    dims: [usize; 4],
+    geom: Conv2dGeometry,
+    out: &mut Vec<T>,
+) -> Result<(usize, usize)> {
+    let [c, h, w, n] = dims;
+    if x.len() != c * h * w * n {
+        return Err(TensorError::LengthMismatch {
+            expected: c * h * w * n,
+            actual: x.len(),
+        });
+    }
+    let (oh, ow) = geom.output_hw(h, w)?;
+    let rows = c * geom.kernel_h * geom.kernel_w;
+    let cols = oh * ow * n;
+    // Only growth is zero-filled; the rows below overwrite the rest.
+    out.resize(rows * cols, T::default());
+    if cols > 0 {
+        for (row, orow) in out.chunks_exact_mut(cols).enumerate() {
+            lower_chwn_row(x, orow, row, geom, dims, (oh, ow));
+        }
+    }
+    Ok((rows, cols))
+}
+
+/// Fills one `[OH·OW·N]` row of the batch-innermost patch matrix:
+/// kernel element `(row % kw, (row / kw) % kh)` of channel
+/// `row / (kh·kw)`.
+///
+/// Every element of `orow` is written, padding positions with
+/// `T::default()` (zero), so the row may arrive holding anything. An
+/// in-image output row `y` reads input row `y·s + ki − p`, whose `N`
+/// samples per column are adjacent: at stride 1 its in-image columns
+/// are one run of `xs.len()·N` elements, and when they are every column
+/// of both planes (`ow == w`, the centre column of a "same" kernel) the
+/// in-image rows are one run together. At larger strides each in-image
+/// column is a run of `N`.
+fn lower_chwn_row<T: Copy + Default>(
+    iv: &[T],
+    orow: &mut [T],
+    row: usize,
+    geom: Conv2dGeometry,
+    [c, h, w, n]: [usize; 4],
+    (oh, ow): (usize, usize),
+) {
+    let (kh, kw, s, p) = (geom.kernel_h, geom.kernel_w, geom.stride, geom.padding);
+    let ci = row / (kh * kw);
+    let ki = (row / kw) % kh;
+    let kj = row % kw;
+    debug_assert!(ci < c && orow.len() == oh * ow * n);
+    let ys = in_image(oh, h, ki, s, p);
+    let xs = in_image(ow, w, kj, s, p);
+    if xs.is_empty() || ys.is_empty() {
+        // Every position reads padding, and `x0` or `y0` below may lie
+        // past the input.
+        orow.fill(T::default());
+        return;
+    }
+    // First input row and column read; `ys.start·s + ki ≥ p` and
+    // `xs.start·s + kj ≥ p` by construction.
+    let (y0, x0) = (ys.start * s + ki - p, xs.start * s + kj - p);
+    let plane = &iv[ci * h * w * n..(ci + 1) * h * w * n];
+    let out_row = ow * n;
+    orow[..ys.start * out_row].fill(T::default());
+    orow[ys.end * out_row..].fill(T::default());
+    let inside = &mut orow[ys.start * out_row..ys.end * out_row];
+    if s == 1 && xs.len() == ow && ow == w {
+        // Every column in image: `x0 = 0` and the rows are adjacent.
+        inside.copy_from_slice(&plane[y0 * w * n..][..inside.len()]);
+        return;
+    }
+    for (dst, y) in inside.chunks_exact_mut(out_row).zip((y0..).step_by(s)) {
+        let (pad_lo, rest) = dst.split_at_mut(xs.start * n);
+        let (run, pad_hi) = rest.split_at_mut(xs.len() * n);
+        pad_lo.fill(T::default());
+        pad_hi.fill(T::default());
+        let src = &plane[(y * w + x0) * n..(y + 1) * w * n];
+        if s == 1 {
+            run.copy_from_slice(&src[..run.len()]);
+        } else {
+            for (d, v) in run.chunks_exact_mut(n).zip(src.chunks(n).step_by(s)) {
+                d.copy_from_slice(v);
             }
         }
     }

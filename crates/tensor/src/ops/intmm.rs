@@ -10,28 +10,33 @@
 //! forward spawns no threads, and a caller running several inferences at
 //! once decides the thread count alone.
 //!
-//! A packed convolution runs through [`int_conv2d`], which does each
-//! piece of work once per call:
+//! A packed convolution runs through [`int_conv2d`] on batch-innermost
+//! activation codes, `[c, h, w, n]`, and does each piece of work once
+//! per call:
 //!
 //! - the weights arrive already listed: a [`ConvTaps`] holds each output
 //!   channel's nonzero weights as (patch row, code), built once per
 //!   weight tensor (a `PackedWeights` in `ccq-quant` builds it on its
 //!   first integer forward and keeps it), with the weight bound checked
 //!   when it is built;
-//! - the patch matrix lives in one [`IntConvScratch`] that the caller
-//!   reuses across layers and calls, and the lowering writes every
-//!   element of it, padding zeros included, so nothing is cleared or
-//!   allocated for it per call;
+//! - the patch matrix `[c·kh·kw, oh·ow·n]` lives in one
+//!   [`IntConvScratch`] that the caller reuses across layers and calls,
+//!   and the lowering ([`int_im2col`]) writes every element of it,
+//!   padding zeros included, so nothing is cleared or allocated for it
+//!   per call. A 1×1, stride-1, unpadded convolution lowers nothing: its
+//!   codes, viewed as `[c, h·w·n]`, are the patch matrix;
 //! - each output channel's accumulator row is built from its taps
 //!   alone, up to four products summed in `i16` lanes before one
 //!   widening add into the `i32` row (see *Exactness* below);
 //! - one epilogue takes each output channel's `i32` accumulator row
-//!   while it is in cache and writes it into the NCHW output as
-//!   `(acc as f32 * scale) + bias`, so there is no accumulator matrix,
-//!   no separate rescaled matrix and no second layout pass;
+//!   while it is in cache and appends it to the output as `(acc as f32 *
+//!   scale) + bias`: in this layout the row is the channel's whole
+//!   `[oh, ow, n]` span, so there is no accumulator matrix, no separate
+//!   rescaled matrix and no reordering;
 //! - the output goes into a buffer the caller passes in, which the
-//!   epilogue overwrites in full, so a caller can hand in the buffer of
-//!   an activation it no longer needs instead of allocating.
+//!   epilogue clears and refills channel by channel, so a caller can
+//!   hand in the buffer of an activation it no longer needs instead of
+//!   allocating, and no element is written twice.
 //!
 //! # Exactness
 //!
@@ -54,7 +59,7 @@
 //!   The kernel checks it, and layer code checks it first to choose the
 //!   dequantized path instead.
 
-use crate::ops::conv::im2col_row;
+use crate::ops::conv::lower_chwn_into;
 use crate::ops::Conv2dGeometry;
 use crate::{Result, Tensor, TensorError};
 
@@ -157,46 +162,22 @@ fn int_matmul_row(arow: &[i8], b: &[i16], orow: &mut [i32]) {
     }
 }
 
-/// `im2col` over integer activation codes: unrolls an NCHW code tensor
-/// of shape `[n, c, h, w]` into a `[c·kh·kw, n·oh·ow]` row-major patch
-/// matrix, with the same row/column ordering as the f32 [`im2col`]
-/// (padding positions hold code `0`, which every supported activation
-/// grid maps to the real value `0.0`).
-///
-/// [`im2col`]: crate::ops::im2col
+/// The batch-innermost lowering over integer activation codes: unrolls
+/// a code tensor of shape `[c, h, w, n]` (`dims`) into the `[c·kh·kw,
+/// oh·ow·n]` row-major patch matrix of the f32
+/// [`im2col_chwn`](crate::ops::im2col_chwn), through the same row
+/// routine (padding positions hold code `0`, which every supported
+/// activation grid maps to the real value `0.0`).
 ///
 /// # Errors
 ///
 /// Returns [`TensorError::LengthMismatch`] when `codes` does not hold
-/// `n·c·h·w` entries, or [`TensorError::InvalidGeometry`] when the
+/// `c·h·w·n` entries, or [`TensorError::InvalidGeometry`] when the
 /// kernel does not fit the padded input.
 pub fn int_im2col(codes: &[i16], dims: [usize; 4], geom: Conv2dGeometry) -> Result<Vec<i16>> {
     let mut out = Vec::new();
-    int_im2col_into(codes, dims, geom, &mut out)?;
+    lower_chwn_into(codes, dims, geom, &mut out)?;
     Ok(out)
-}
-
-/// [`int_im2col`] into a reused buffer, which is resized to the patch
-/// matrix and written in full: whatever it held before is overwritten.
-fn int_im2col_into(
-    codes: &[i16],
-    dims: [usize; 4],
-    geom: Conv2dGeometry,
-    out: &mut Vec<i16>,
-) -> Result<(usize, usize)> {
-    let [n, c, h, w] = dims;
-    check_len(codes.len(), n * c * h * w)?;
-    let (oh, ow) = geom.output_hw(h, w)?;
-    let rows = c * geom.kernel_h * geom.kernel_w;
-    let cols = n * oh * ow;
-    // Only growth is zero-filled; the rows below overwrite the rest.
-    out.resize(rows * cols, 0);
-    if cols > 0 {
-        for (row, orow) in out.chunks_exact_mut(cols).enumerate() {
-            im2col_row(codes, orow, row, geom, (n, c, h, w), (oh, ow));
-        }
-    }
-    Ok((oh, ow))
 }
 
 /// Working memory of [`int_conv2d`]: the patch matrix and one row of
@@ -208,6 +189,14 @@ fn int_im2col_into(
 pub struct IntConvScratch {
     cols: Vec<i16>,
     acc: Vec<i32>,
+}
+
+impl IntConvScratch {
+    /// Codes the patch matrix has room for: the largest lowered layer
+    /// seen so far.
+    pub fn patch_capacity(&self) -> usize {
+        self.cols.capacity()
+    }
 }
 
 /// The nonzero weights of a `[out_ch, row_len]` weight-code matrix, one
@@ -316,19 +305,20 @@ fn accumulate_taps(taps: &[u32], cols: &[i16], acc: &mut [i32], group: usize) {
     }
 }
 
-/// Integer 2-D convolution of NCHW activation codes `[n, c, h, w]` with
-/// the listed weights `taps` of a `[out_ch, c·kh·kw]` code matrix,
-/// returning the rescaled NCHW output `[n, out_ch, oh, ow]` in `out`'s
-/// memory. `bounds` states the largest `|code|` of each operand; it
-/// picks the `i16` group size (see *Exactness* in the module docs).
+/// Integer 2-D convolution of batch-innermost activation codes `[c, h,
+/// w, n]` (`dims`) with the listed weights `taps` of a `[out_ch,
+/// c·kh·kw]` code matrix, returning the rescaled output `[out_ch, oh, ow,
+/// n]` in `out`'s memory. `bounds` states the largest `|code|` of each
+/// operand; it picks the `i16` group size (see *Exactness* in the module
+/// docs).
 ///
 /// Equal bit for bit to [`int_im2col`] → [`int_matmul`] → `acc as f32 *
-/// scale` → reorder to NCHW adding `bias[o]` (or `0.0` without a bias,
-/// which turns a `-0.0` product into `+0.0` as that composition does).
-/// The patch matrix lives in `scratch`, and so does one output channel's
-/// accumulator row at a time: the epilogue rescales it into the output
-/// while it is still in cache. `out` is resized to the output and every
-/// element written, so whatever it held before does not matter.
+/// scale + bias[o]` (or `+ 0.0` without a bias, which turns a `-0.0`
+/// product into `+0.0` as that composition does). The patch matrix
+/// lives in `scratch` (a pointwise convolution reads `codes` in its
+/// place), and so does one output channel's accumulator row at a time:
+/// the epilogue rescales it onto the end of `out` while it is still in
+/// cache. `out` is cleared first, so whatever it held does not matter.
 ///
 /// # Errors
 ///
@@ -350,7 +340,9 @@ pub fn int_conv2d(
     scratch: &mut IntConvScratch,
     mut out: Vec<f32>,
 ) -> Result<Tensor> {
-    let ckk = dims[1] * geom.kernel_h * geom.kernel_w;
+    let [c, h, w, n] = dims;
+    check_len(codes.len(), c * h * w * n)?;
+    let ckk = c * geom.kernel_h * geom.kernel_w;
     let out_ch = taps.out_ch();
     check_len(taps.row_len * out_ch, out_ch * ckk)?;
     if let Some(b) = bias {
@@ -365,34 +357,33 @@ pub fn int_conv2d(
     let a_seen = codes.iter().fold(0u16, |m, &c| m.max(c.unsigned_abs()));
     check_bound("activation", u32::from(a_seen), bounds.act)?;
     check_bound("weight", taps.max_abs, bounds.weight)?;
-    let n = dims[0];
-    let (oh, ow) = int_im2col_into(codes, dims, geom, &mut scratch.cols)?;
-    let plane = oh * ow;
-    // Only growth is zero-filled; the epilogue below overwrites the rest.
-    out.resize(n * out_ch * plane, 0.0);
-    if plane == 0 {
-        return Tensor::from_vec(out, &[n, out_ch, oh, ow]);
-    }
-    let group = bounds.i16_group();
+    let (oh, ow) = geom.output_hw(h, w)?;
     let IntConvScratch { cols, acc } = scratch;
-    for oi in 0..out_ch {
-        acc.clear();
-        acc.resize(n * plane, 0);
-        accumulate_taps(
-            &taps.taps[taps.ends[oi]..taps.ends[oi + 1]],
-            cols,
-            acc,
-            group,
-        );
-        let b = bias.map_or(0.0, |b| b[oi]);
-        for (ni, src) in acc.chunks_exact(plane).enumerate() {
-            let dst = &mut out[(ni * out_ch + oi) * plane..(ni * out_ch + oi + 1) * plane];
-            for (d, &a) in dst.iter_mut().zip(src) {
-                *d = a as f32 * scale + b;
-            }
+    let patches = if geom.is_pointwise() {
+        codes
+    } else {
+        lower_chwn_into(codes, dims, geom, cols)?;
+        &cols[..]
+    };
+    let len = oh * ow * n;
+    out.clear();
+    if len > 0 {
+        out.reserve(out_ch * len);
+        let group = bounds.i16_group();
+        for oi in 0..out_ch {
+            acc.clear();
+            acc.resize(len, 0);
+            accumulate_taps(
+                &taps.taps[taps.ends[oi]..taps.ends[oi + 1]],
+                patches,
+                acc,
+                group,
+            );
+            let b = bias.map_or(0.0, |b| b[oi]);
+            out.extend(acc.iter().map(|&a| a as f32 * scale + b));
         }
     }
-    Tensor::from_vec(out, &[n, out_ch, oh, ow])
+    Tensor::from_vec(out, &[out_ch, oh, ow, n])
 }
 
 /// Refuses a `what` code of magnitude `seen` beyond the stated `bound`.
@@ -477,7 +468,7 @@ mod tests {
         assert!(matches!(
             int_im2col(
                 &[0; 5],
-                [1, 1, 2, 3],
+                [1, 2, 3, 1],
                 Conv2dGeometry {
                     kernel_h: 1,
                     kernel_w: 1,

@@ -4,14 +4,16 @@
 //! is one sum over `k` in strictly ascending order, begun at `+0.0`: the
 //! order of a naive triple loop. Two size regimes keep that order:
 //!
-//! - Below `PACK_MIN_FLOPS` multiply-adds, all three products run one
-//!   output-stationary kernel. It reads `A` as `[m, k]` or, for
+//! - Below `PACK_MIN_FLOPS` multiply-adds all three products run one
+//!   output-stationary kernel, and `matmul` runs it for fewer than
+//!   [`MR`] output rows at any size. It reads `A` as `[m, k]` or, for
 //!   `matmul_at_b`, as the stored `[k, m]` transpose, and `B` as `[k, n]`
 //!   rows (`matmul_a_bt` transposes its `B` first). Each output block
 //!   ([`MR`] rows by `2·NR` columns, one row by `8·NR` past the last
 //!   multiple of [`MR`] rows, then [`NR`], 4 and 1 columns) is summed in
 //!   a local array and stored once.
-//! - Above it, `matmul` and `matmul_a_bt` switch to a BLIS-style
+//! - Above it (with at least [`MR`] rows for `matmul`), `matmul` and
+//!   `matmul_a_bt` switch to a BLIS-style
 //!   *packed* path: `B` is packed once into k-major panels of [`NR`]
 //!   columns, each [`MR`]-row block of `A` is packed p-major, and an
 //!   unrolled [`MR`]×[`NR`] register kernel accumulates 32 independent
@@ -255,7 +257,8 @@ fn matmul_rows_packed(av: &[f32], pb: &PackedB, ov: &mut [f32], ap: &mut Vec<f32
 
 /// `C = A · B` for `A: [m, k]`, `B: [k, n]`.
 ///
-/// The small-product kernel, packed-panel above `PACK_MIN_FLOPS`.
+/// The small-product kernel; packed-panel above `PACK_MIN_FLOPS` from
+/// four rows up.
 ///
 /// # Errors
 ///
@@ -287,7 +290,10 @@ pub fn matmul(a: &Tensor, b: &Tensor) -> Result<Tensor> {
         return Ok(out);
     }
     let (av, bv) = (a.as_slice(), b.as_slice());
-    if m * n * k >= PACK_MIN_FLOPS {
+    // With fewer than `MR` rows most of each padded register block is
+    // waste, and packing `B` costs as much as the product: at 2×18×2048
+    // the small kernel takes a fifth of the packed path's time.
+    if m >= MR && m * n * k >= PACK_MIN_FLOPS {
         matmul_rows_packed(
             av,
             &PackedB::from_b(bv, k, n),
@@ -374,6 +380,9 @@ pub fn matmul_a_bt(a: &Tensor, b: &Tensor) -> Result<Tensor> {
         return Ok(out);
     }
     let (av, bv) = (a.as_slice(), b.as_slice());
+    // Unlike `matmul`, this packs `B` at fewer than `MR` rows too: the
+    // small kernel would first transpose `B`, and measured no faster
+    // than the packing at those sizes.
     if m * n * k >= PACK_MIN_FLOPS {
         matmul_rows_packed(
             av,
@@ -400,11 +409,29 @@ pub fn matmul_a_bt(a: &Tensor, b: &Tensor) -> Result<Tensor> {
 /// Returns [`TensorError::RankMismatch`] for non-matrix inputs.
 pub fn transpose2d(a: &Tensor) -> Result<Tensor> {
     let (m, n) = check_rank2(a)?;
-    let mut out = Tensor::zeros(&[n, m]);
-    if m == 0 || n == 0 {
-        return Ok(out);
+    let mut out = Vec::new();
+    transpose_into(a.as_slice(), m, n, &mut out)?;
+    Tensor::from_vec(out, &[n, m])
+}
+
+/// [`transpose2d`] of the row-major `[m, n]` matrix `av` into a reused
+/// buffer, which is resized to `m·n` and written in full: whatever it
+/// held before is overwritten.
+///
+/// # Errors
+///
+/// Returns [`TensorError::LengthMismatch`] when `av` does not hold `m·n`
+/// entries.
+pub fn transpose_into(av: &[f32], m: usize, n: usize, out: &mut Vec<f32>) -> Result<()> {
+    if av.len() != m * n {
+        return Err(TensorError::LengthMismatch {
+            expected: m * n,
+            actual: av.len(),
+        });
     }
-    let (av, ov) = (a.as_slice(), out.as_mut_slice());
+    // Only growth is zero-filled; the tiles below overwrite the rest.
+    out.resize(m * n, 0.0);
+    let ov = out.as_mut_slice();
     for ib in (0..m).step_by(TRANSPOSE_TILE) {
         let ie = (ib + TRANSPOSE_TILE).min(m);
         for jb in (0..n).step_by(TRANSPOSE_TILE) {
@@ -417,7 +444,7 @@ pub fn transpose2d(a: &Tensor) -> Result<Tensor> {
             }
         }
     }
-    Ok(out)
+    Ok(())
 }
 
 #[cfg(test)]

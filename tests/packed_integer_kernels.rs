@@ -1,21 +1,26 @@
 //! The packed-integer convolution kernels equal the simple compositions
 //! they replace, bit for bit:
 //!
-//! - `int_conv2d` (lowering into a reused scratch, integer GEMM over the
-//!   listed nonzero weights and one rescale-and-reorder epilogue) equals
-//!   `int_im2col` → `int_matmul` → `acc as f32 * scale` → NCHW reorder
-//!   adding the bias. Each case runs
-//!   several random geometries back to back through one scratch, a
-//!   heavily padded layer next to an unpadded one in both orders, so a
-//!   padding position left holding the previous layer's codes shows.
-//!   (Both sides lower through the same row routine; that routine is
-//!   held to a naive gather in `tests/conv_lowering.rs`.)
+//! - `int_conv2d` on batch-innermost codes `[c, h, w, n]` (lowering into
+//!   a reused scratch, or none for a 1×1 stride-1 unpadded layer, integer
+//!   GEMM over the listed nonzero weights and one rescale epilogue per
+//!   output channel) equals `int_im2col` → `int_matmul` → `acc as f32 *
+//!   scale + bias`, whose `[out_ch, oh·ow·n]` matrix is the `[out_ch, oh,
+//!   ow, n]` output. Each case runs several random geometries back to
+//!   back through one scratch, a heavily padded layer next to an unpadded
+//!   one in both orders, so a padding position left holding the previous
+//!   layer's codes shows. (Both sides lower through the same row
+//!   routine; that routine is held to a naive gather in
+//!   `tests/conv_lowering.rs`.)
 //!   The operands lie within random stated bounds, a quarter of the
 //!   weights zero, so every `i16` group size of the kernel (4, 2 and 1
 //!   products per lane, and plain `i32` products) runs.
 //! - The output buffer the caller hands in does not matter: one filled
-//!   with NaN, longer or shorter than the output, gives the bits of a
-//!   fresh one, at stride 2, 1×1, with padding and on a 1×1 plane.
+//!   with NaN, longer, as long as or shorter than the output, gives the
+//!   bits of a fresh one, at stride 2, 1×1, with padding and on a 1×1
+//!   plane.
+//! - A 1×1 stride-1 unpadded layer reads its codes as the patch matrix:
+//!   it does not grow the scratch.
 //! - At every activation/weight width pair from 1 to 8 bits (max-abs
 //!   signed and PACT unsigned activations), operands all at ±qmax give
 //!   the plain `i32` product, and the kernel's `i16` group is the
@@ -35,7 +40,8 @@ use ccq_tensor::{rng, Rng64, Tensor};
 use proptest::prelude::*;
 use rand::Rng;
 
-/// One convolution layer: input dims, geometry and output channels.
+/// One convolution layer: input dims `[c, h, w, n]`, geometry and output
+/// channels.
 #[derive(Debug, Clone, Copy)]
 struct Layer {
     dims: [usize; 4],
@@ -61,8 +67,9 @@ fn layer(
     } else {
         r.gen_range(1..=fit)
     };
+    let n = r.gen_range(1..=3);
     Layer {
-        dims: [r.gen_range(1..=3), r.gen_range(1..=4), h, w],
+        dims: [r.gen_range(1..=4), h, w, n],
         geom: Conv2dGeometry {
             kernel_h: k,
             kernel_w: k,
@@ -104,23 +111,16 @@ fn reference(
     scale: f32,
     bias: Option<&[f32]>,
 ) -> Vec<f32> {
-    let [n, c, h, w] = l.dims;
+    let [c, h, w, n] = l.dims;
     let (oh, ow) = l.geom.output_hw(h, w).unwrap();
     let ckk = c * l.geom.kernel_h * l.geom.kernel_w;
-    let plane = oh * ow;
+    let len = oh * ow * n;
     let cols = int_im2col(codes, l.dims, l.geom).unwrap();
-    let acc = int_matmul(weights, &cols, l.out_ch, ckk, n * plane).unwrap();
+    let acc = int_matmul(weights, &cols, l.out_ch, ckk, len).unwrap();
     let mat: Vec<f32> = acc.iter().map(|&a| a as f32 * scale).collect();
-    let mut out = vec![f32::NAN; n * l.out_ch * plane];
-    for oi in 0..l.out_ch {
-        let b = bias.map_or(0.0, |b| b[oi]);
-        for ni in 0..n {
-            for p in 0..plane {
-                out[(ni * l.out_ch + oi) * plane + p] = mat[oi * n * plane + ni * plane + p] + b;
-            }
-        }
-    }
-    out
+    (mat.iter().enumerate())
+        .map(|(i, &v)| v + bias.map_or(0.0, |b| b[i / len]))
+        .collect()
 }
 
 fn bits(v: &[f32]) -> Vec<u32> {
@@ -171,7 +171,7 @@ fn every_width_pair_at_the_extremes_equals_the_i32_product() {
     let mut r = rng(5);
     let mut scratch = IntConvScratch::default();
     let layers = [(3, 1), (1, 0)].map(|(k, p)| Layer {
-        dims: [2, 5, 4, 4],
+        dims: [5, 4, 4, 2],
         geom: Conv2dGeometry {
             kernel_h: k,
             kernel_w: k,
@@ -189,7 +189,7 @@ fn every_width_pair_at_the_extremes_equals_the_i32_product() {
                 };
                 let (a, w) = (bounds.act as i16, bounds.weight as i8);
                 for l in layers {
-                    let [n, c, h, wd] = l.dims;
+                    let [c, h, wd, n] = l.dims;
                     let ckk = c * l.geom.kernel_h * l.geom.kernel_w;
                     // Same-sign products (the largest sums), opposite-sign
                     // ones, and random signs.
@@ -201,7 +201,7 @@ fn every_width_pair_at_the_extremes_equals_the_i32_product() {
                             _ => [1, -1][r.gen_range(0..2usize)],
                         };
                         let codes: Vec<i16> =
-                            (0..n * c * h * wd).map(|_| a * act_sign(&mut r)).collect();
+                            (0..c * h * wd * n).map(|_| a * act_sign(&mut r)).collect();
                         let weights: Vec<i8> = (0..l.out_ch * ckk)
                             .map(|_| if pattern == 2 && r.gen() { -w } else { w })
                             .collect();
@@ -260,7 +260,7 @@ fn group_sizes_follow_the_bounds() {
 #[test]
 fn codes_beyond_the_bounds_are_refused() {
     let l = Layer {
-        dims: [1, 2, 3, 3],
+        dims: [2, 3, 3, 1],
         geom: Conv2dGeometry {
             kernel_h: 3,
             kernel_w: 3,
@@ -318,8 +318,9 @@ fn codes_beyond_the_bounds_are_refused() {
     assert!(err.is_err());
 }
 
-/// An output buffer holding NaN, longer or shorter than the output,
-/// gives the bits of a fresh one: every output element is written.
+/// An output buffer holding NaN, longer, as long as or shorter than the
+/// output, gives the bits of a fresh one: every output element is
+/// written.
 #[test]
 fn stale_output_buffers_give_the_fresh_bits() {
     let geom = |k, stride, padding| Conv2dGeometry {
@@ -329,11 +330,11 @@ fn stale_output_buffers_give_the_fresh_bits() {
         padding,
     };
     let layers = [
-        ([2, 3, 7, 7], geom(3, 2, 1)), // stride 2, padded
-        ([2, 4, 5, 6], geom(1, 1, 0)), // 1×1
-        ([1, 2, 4, 4], geom(3, 1, 2)), // padding wider than "same"
-        ([3, 2, 3, 3], geom(3, 1, 0)), // a 1×1 output plane
-        ([2, 3, 1, 1], geom(1, 1, 0)), // a 1×1 input plane
+        ([3, 7, 7, 2], geom(3, 2, 1)), // stride 2, padded
+        ([4, 5, 6, 2], geom(1, 1, 0)), // 1×1
+        ([2, 4, 4, 1], geom(3, 1, 2)), // padding wider than "same"
+        ([2, 3, 3, 3], geom(3, 1, 0)), // a 1×1 output plane
+        ([3, 1, 1, 2], geom(1, 1, 0)), // a 1×1 input plane
     ];
     let mut r = rng(17);
     let mut scratch = IntConvScratch::default();
@@ -343,9 +344,9 @@ fn stale_output_buffers_give_the_fresh_bits() {
             geom,
             out_ch: 3,
         };
-        let [n, c, h, w] = dims;
+        let [c, h, w, n] = dims;
         let ckk = c * geom.kernel_h * geom.kernel_w;
-        let codes: Vec<i16> = (0..n * c * h * w)
+        let codes: Vec<i16> = (0..c * h * w * n)
             .map(|_| r.gen_range(-127..=127))
             .collect();
         let weights: Vec<i8> = (0..l.out_ch * ckk)
@@ -390,6 +391,64 @@ fn stale_output_buffers_give_the_fresh_bits() {
     }
 }
 
+/// A 1×1 stride-1 unpadded layer lowers nothing: a fresh scratch stays
+/// empty, and one that a padded layer grew keeps its size.
+#[test]
+fn pointwise_layers_do_not_grow_the_patch_matrix() {
+    let geom = |k, stride, padding| Conv2dGeometry {
+        kernel_h: k,
+        kernel_w: k,
+        stride,
+        padding,
+    };
+    let bounds = CodeBounds {
+        act: 127,
+        weight: 7,
+    };
+    let mut r = rng(23);
+    let mut scratch = IntConvScratch::default();
+    let mut capacities = Vec::new();
+    for (dims, geom) in [
+        ([6, 8, 8, 4], geom(1, 1, 0)),
+        ([2, 3, 3, 2], geom(3, 1, 1)),
+        ([6, 8, 8, 4], geom(1, 1, 0)),
+    ] {
+        let l = Layer {
+            dims,
+            geom,
+            out_ch: 5,
+        };
+        let [c, h, w, n] = dims;
+        let ckk = c * geom.kernel_h * geom.kernel_w;
+        let codes: Vec<i16> = (0..c * h * w * n)
+            .map(|_| r.gen_range(-127..=127))
+            .collect();
+        let weights: Vec<i8> = (0..l.out_ch * ckk).map(|_| r.gen_range(-7..=7)).collect();
+        let taps = ConvTaps::new(&weights, l.out_ch, 7).unwrap();
+        let got = int_conv2d(
+            &codes,
+            dims,
+            geom,
+            &taps,
+            bounds,
+            1e-2,
+            None,
+            &mut scratch,
+            Vec::new(),
+        )
+        .unwrap();
+        assert_eq!(
+            bits(got.as_slice()),
+            bits(&reference(l, &codes, &weights, 1e-2, None))
+        );
+        capacities.push(scratch.patch_capacity());
+    }
+    let padded = 2 * 9 * 3 * 3 * 2;
+    assert_eq!(capacities[0], 0, "a 1×1 layer lowered its input");
+    assert!(capacities[1] >= padded);
+    assert_eq!(capacities[2], capacities[1], "a 1×1 layer grew the scratch");
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -400,12 +459,12 @@ proptest! {
         let plain = layer(&mut r, 0..=0, 1..=5);
         let mut scratch = IntConvScratch::default();
         for l in [plain, padded, plain, padded, layer(&mut r, 0..=3, 1..=9)] {
-            let [n, c, h, w] = l.dims;
+            let [c, h, w, n] = l.dims;
             let ckk = c * l.geom.kernel_h * l.geom.kernel_w;
             let bounds = random_bounds(&mut r);
             let (a, wm) = (bounds.act as i16, bounds.weight as i8);
             // Nonzero codes, so a stale padding entry cannot read as zero.
-            let codes: Vec<i16> = (0..n * c * h * w)
+            let codes: Vec<i16> = (0..c * h * w * n)
                 .map(|_| if r.gen() { r.gen_range(1..=a) } else { r.gen_range(-a..=-1) })
                 .collect();
             // A quarter of the weights zero, so the kernel skips some taps.
@@ -421,7 +480,7 @@ proptest! {
             )
             .unwrap();
             let (oh, ow) = l.geom.output_hw(h, w).unwrap();
-            prop_assert_eq!(got.shape(), &[n, l.out_ch, oh, ow][..]);
+            prop_assert_eq!(got.shape(), &[l.out_ch, oh, ow, n][..]);
             let want = reference(l, &codes, &weights, scale, bias.as_deref());
             prop_assert_eq!(bits(got.as_slice()), bits(&want), "layer {:?}, {:?}", l, bounds);
         }

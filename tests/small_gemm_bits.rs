@@ -6,6 +6,11 @@
 //! starting it from anything but `+0.0`, shows as a changed bit. The
 //! data are random values salted with `±0.0` and subnormals.
 //!
+//! Products of one to three rows run the same kernel at every size,
+//! not the packed path: shapes of that kind above the threshold
+//! (`2¹⁴` multiply-adds), as the stage-1 convolutions of narrow ResNets
+//! issue them, are held to the naive sum as well.
+//!
 //! `matmul_at_b` leaves out the products of a zero `A` entry: its second
 //! pass puts `±inf` and NaN into `B`, where `0 · inf` would turn a finite
 //! output into NaN. `matmul` and `matmul_a_bt` skip nothing, and their
@@ -162,4 +167,28 @@ fn matmul_at_b_equals_the_naive_sum_and_skips_zero_a_entries() {
         skips_seen > 1000,
         "only {skips_seen} outputs depend on the zero skip; the data do not pin it"
     );
+}
+
+#[test]
+fn short_products_above_the_size_threshold_equal_the_naive_sum() {
+    let mut v = Values(0x3c6e_f372_fe94_f82b);
+    for dims @ (m, k, n) in [
+        (1, 27, 1024),
+        (2, 18, 2048),
+        (3, 36, 512),
+        (1, 130, 131),
+        (2, 9, 1000),
+        (3, 17, 401),
+    ] {
+        assert!(m * k * n >= 1 << 14, "{dims:?} is below the threshold");
+        let a = v.matrix(m, k, Values::finite);
+        for f in [Values::finite, Values::with_specials] {
+            let b = v.matrix(k, n, f);
+            let want = naive(dims, |i, p| a.at(&[i, p]), |p, j| b.at(&[p, j]), false);
+            assert_same_bits(&matmul(&a, &b).unwrap(), &want, "matmul", dims);
+            let bt = v.matrix(n, k, f);
+            let want = naive(dims, |i, p| a.at(&[i, p]), |p, j| bt.at(&[j, p]), false);
+            assert_same_bits(&matmul_a_bt(&a, &bt).unwrap(), &want, "matmul_a_bt", dims);
+        }
+    }
 }
